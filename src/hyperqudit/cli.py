@@ -167,9 +167,9 @@ def cmd_state_verify(args) -> int:
                 lines.append(f"{good}/{len(morphs)} stabilizer pushforward checks passed"
                              + ("" if good == len(morphs) else " (FAIL)"))
             except TooLarge:
-                results[name] = {"ok": True, "detail": "skipped (over dense cap)"}
+                results[name] = {"status": "skipped", "detail": "over dense cap"}
                 lines.append("stabilizer pushforward skipped (over dense cap)")
-    ok = all(v.get("ok", False) for v in results.values())
+    ok = all(v.get("ok", False) for v in results.values() if v.get("status") != "skipped")
     if args.json:
         _print({"checks": results, "ok": ok}, True)
     else:

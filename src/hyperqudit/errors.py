@@ -62,7 +62,11 @@ class WrongBasis(HyperquditError):
 
 
 class TooLarge(HyperquditError):
-    """Dense cross-check would exceed the configured size cap."""
+    """An exact table or a dense cross-check would exceed its size cap."""
+
+
+class BadSetting(HyperquditError):
+    """An environment setting has an invalid value."""
 
 
 # -- field-only polynomial machinery ------------------------------------------

@@ -12,12 +12,20 @@ The canonical element order is 0, 1, then the remaining elements in
 lexicographic order of their coefficient vectors (constant term first).
 All serialized exponent tuples and matrices in this package refer to
 that order.
+
+Exact paths over many configurations read the ring through its
+:class:`RingKernel`: integer index tables over the canonical order,
+built with numpy on first use and shared by every ring with the same
+key.  Scalar :class:`RingElement` arithmetic stays the API and JSON
+boundary and the reference the tables are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BadCoefficient,
@@ -26,15 +34,31 @@ from .errors import (
     OutOfRange,
     ReducibleModulus,
     RingMismatch,
+    TooLarge,
 )
 
 __all__ = [
+    "EXACT_CAP",
     "GaloisRing",
     "RingElement",
+    "RingKernel",
     "make_ring",
     "ring_from_descriptor",
     "ring_to_descriptor",
+    "require_exact",
 ]
+
+# Largest integer table an exact path may allocate: q^l phase entries for
+# a state, q^2 for the ring kernel's index tables, and the number of
+# (label, configuration) pairs a pairwise suite walks.  2^22 keeps F2 at
+# l = 20 (about 10^6 configurations) buildable in well under a second.
+EXACT_CAP = 1 << 22
+
+
+def require_exact(size: int, what: str) -> None:
+    """Raise TooLarge, before anything is allocated, when size exceeds EXACT_CAP."""
+    if size > EXACT_CAP:
+        raise TooLarge(f"{what} needs {size} entries, above the exact cap of {EXACT_CAP}")
 
 
 def _is_prime(n: int) -> bool:
@@ -330,8 +354,106 @@ class GaloisRing:
             raise AssertionError("Frobenius-sum trace left the prime subring")
         return acc.coeffs[0]
 
+    @property
+    def kernel(self) -> "RingKernel":
+        """The ring's integer tables, built on first use and shared per ring key."""
+        kernel = _KERNELS.get(self.key)
+        if kernel is None:
+            kernel = _KERNELS[self.key] = _build_kernel(self)
+        return kernel
+
     def __repr__(self) -> str:
         return f"GR({self.char},{self.d})"
+
+
+# -- integer ring kernel ----------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class RingKernel:
+    """Read-only numpy tables of one ring, indexed by canonical element index.
+
+    ``mul`` and ``add`` are q x q index tables, ``neg[x]`` is the index
+    of -x and ``trace[x]`` is tr(x) in [0, p^r).  ``powers[x, u]`` is the
+    index of x^u for u below delta = max(iota + pi); x^0 = 1 for every x,
+    0 included.  ``iota`` and ``period`` are the index and period of each
+    element's cyclic monoid.
+    """
+
+    mul: np.ndarray
+    add: np.ndarray
+    neg: np.ndarray
+    trace: np.ndarray
+    powers: np.ndarray
+    iota: np.ndarray
+    period: np.ndarray
+
+    def power_values(self, items) -> np.ndarray:
+        """Index of x^(u_x) for every element x, given u's sparse (index, component) pairs."""
+        u = np.zeros(len(self.neg), dtype=np.intp)
+        for idx, comp in items:
+            u[idx] = comp
+        return self.powers[np.arange(len(u)), u]
+
+
+_KERNELS: dict[tuple, RingKernel] = {}
+
+# Elements in one block of the chunked multiplication-table build.
+_MUL_BLOCK = 1 << 18
+
+
+def _build_kernel(ring: GaloisRing) -> RingKernel:
+    q, d, m = ring.q, ring.d, ring.char
+    require_exact(q * q, f"the index tables of {ring}")
+    coeffs = np.array([e.coeffs for e in ring.elements], dtype=np.int64)
+    radix = m ** np.arange(d, dtype=np.int64)
+    lookup = np.empty(q, dtype=np.intp)
+    lookup[coeffs @ radix] = np.arange(q)
+
+    def index_of(cs: np.ndarray) -> np.ndarray:
+        return lookup[cs @ radix]
+
+    # mult[x, :, j] = coefficients of x * theta^j: multiplication by x as a matrix
+    modulus = np.array(ring.modulus[:d], dtype=np.int64)
+    column, columns = coeffs, [coeffs]
+    for _ in range(1, d):
+        top = column[:, -1:]
+        column = (np.concatenate([np.zeros_like(top), column[:, :-1]], axis=1)
+                  - top * modulus) % m
+        columns.append(column)
+    mult = np.stack(columns, axis=2)
+    trace = np.trace(mult, axis1=1, axis2=2) % m
+
+    mul = np.empty((q, q), dtype=np.intp)
+    rows = max(1, _MUL_BLOCK // (q * d))
+    for start in range(0, q, rows):
+        prod = np.einsum("xij,yj->xyi", mult[start:start + rows], coeffs) % m
+        mul[start:start + rows] = index_of(prod)
+    add = index_of((coeffs[:, None, :] + coeffs[None, :, :]) % m)
+    neg = index_of(-coeffs % m)
+
+    # x^0, x^1, ... for all x at once until every row has repeated; x^(iota + pi)
+    # is the first power already seen, and it equals x^iota
+    elements = np.arange(q)
+    columns = [np.ones(q, dtype=np.intp)]
+    seen = np.zeros((q, q), dtype=bool)
+    seen[:, 1] = True
+    length = np.zeros(q, dtype=np.intp)
+    repeated = np.zeros(q, dtype=np.intp)
+    while not length.all():
+        power = mul[columns[-1], elements]
+        first = seen[elements, power] & (length == 0)
+        length[first] = len(columns)
+        repeated[first] = power[first]
+        seen[elements, power] = True
+        columns.append(power)
+    powers = np.stack(columns[:length.max()], axis=1)
+    iota = np.argmax(powers == repeated[:, None], axis=1)
+
+    kernel = RingKernel(mul=mul, add=add, neg=neg, trace=trace, powers=powers,
+                        iota=iota, period=length - iota)
+    for array in vars(kernel).values():
+        array.flags.writeable = False
+    return kernel
 
 
 def make_ring(p: int, r: int, d: int, modulus, find_primitive: bool | None = None) -> GaloisRing:

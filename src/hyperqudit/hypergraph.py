@@ -11,8 +11,8 @@ into one over [l+m] by shifting the second block.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .cyclicity import CycExponent, exp_add
@@ -178,6 +178,8 @@ class CalibratedHypergraph:
 
     Canonical form: edges sorted, calibration keys canonicalized, zero
     values dropped and all values reduced mod p^r.  Equality is structural.
+    The calibration and each per-edge map are read-only views, since the
+    hash and the cached phase table are derived from them.
     """
 
     def __init__(self, ring: GaloisRing, l: int,
@@ -203,10 +205,10 @@ class CalibratedHypergraph:
                     slot[w] = (slot.get(w, 0) + value) % ring.char
                     if slot[w] == 0:
                         del slot[w]
-        self.calib: dict[Edge, dict[ExpFunc, int]] = {
-            e: dict(sorted(vs.items(), key=lambda kv: kv[0].sort_key()))
+        self.calib: Mapping[Edge, Mapping[ExpFunc, int]] = MappingProxyType({
+            e: MappingProxyType(dict(sorted(vs.items(), key=lambda kv: kv[0].sort_key())))
             for e, vs in sorted(table.items())
-        }
+        })
         self.edges: tuple[Edge, ...] = tuple(self.calib)
 
     def canonical(self) -> tuple:
@@ -409,11 +411,3 @@ def hypergraph_from_json(doc: dict, kind: str = "calibrated"):
                 slot[key] = (slot.get(key, 0) + int(item["value"])) % ring.char
         return ring, l, tau
     raise HyperquditError(f"unknown hypergraph kind {kind!r}")
-
-
-def all_edges(l: int) -> list[Edge]:
-    """All nonempty hyperedges over [l], sorted."""
-    out: list[Edge] = []
-    for size in range(1, l + 1):
-        out.extend(itertools.combinations(range(l), size))
-    return sorted(out)

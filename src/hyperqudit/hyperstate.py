@@ -10,6 +10,10 @@ The stabilizer operators, the hypergraph basis, the covariance of the
 construction under ordinal functions and local maximal entangleability
 are all checked here, exactly on phase tables where flatness is
 preserved and through dense matrices (tolerance 1e-9) where it is not.
+
+Whole tables are computed with gathers through the ring kernel (see
+:class:`hyperqudit.galois.RingKernel`); ``phase_function`` is the
+scalar definition of sigma at one configuration.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from .cyclicity import power
 from .errors import GradeMismatch, TooLarge, WrongBasis
+from .galois import require_exact
 from .hypergraph import CalibratedHypergraph, OrdinalMorphism, apply_morphism
 from .states import (
     COMPUTATIONAL,
@@ -26,14 +31,14 @@ from .states import (
     all_configurations,
     apply_he_morphism,
     apply_pauli_z,
-    config_add,
-    config_index,
-    config_sub,
+    cyclotomic_residues,
     dense_cap,
-    ef_transpose,
-    is_orthogonal,
-    phase_difference_counts,
-    to_dense,
+    label_indices,
+    omega_powers,
+    pairing_matrix,
+    phase_array,
+    pullback_table,
+    translate_table,
 )
 
 __all__ = [
@@ -67,11 +72,32 @@ def phase_function(hg: CalibratedHypergraph, x: Configuration) -> int:
 
 
 def phase_table(hg: CalibratedHypergraph) -> tuple[int, ...]:
+    """sigma at every configuration, in configuration order; cached on the hypergraph.
+
+    Each stored entry is evaluated on the grid of the vertices its key
+    raises to a nonzero exponent (x^0 = 1 for every x, so the other
+    vertices drop out) and broadcast-added into the q^l table.
+    """
     cached = getattr(hg, "_phase_table_cache", None)
     if cached is None:
-        cached = tuple(phase_function(hg, x) for x in all_configurations(hg.ring, hg.l))
+        ring, l = hg.ring, hg.l
+        require_exact(ring.q ** l, "the phase table")
+        k = ring.kernel
+        total = np.zeros((ring.q,) * l, dtype=np.int64)
+        for _, w, val in hg.stored_entries():
+            prod = np.ones((1,) * l, dtype=np.intp)  # index 1 is the unit
+            for v, u in w.items:
+                shape = [1] * l
+                shape[v] = ring.q
+                prod = k.mul[prod, k.power_values(u.items).reshape(shape)]
+            total += val * k.trace[prod] % ring.char
+        cached = tuple((total.reshape(-1) % ring.char).tolist())
         hg._phase_table_cache = cached  # idempotent; hypergraphs are immutable
     return cached
+
+
+def _sigma(hg: CalibratedHypergraph) -> np.ndarray:
+    return np.array(phase_table(hg), dtype=np.int64)
 
 
 def build_state(hg: CalibratedHypergraph) -> FlatState:
@@ -85,9 +111,7 @@ def apply_d(hg: CalibratedHypergraph, psi: FlatState) -> FlatState:
         raise WrongBasis("the hypergraph operator acts on computational tables")
     if psi.l != hg.l:
         raise GradeMismatch("state grade does not match the hypergraph")
-    m = hg.ring.char
-    table = phase_table(hg)
-    return psi.with_phases((v + s) % m for v, s in zip(psi.phases, table))
+    return psi.with_phases(phase_array(psi) + _sigma(hg))
 
 
 def stabilizer_apply(hg: CalibratedHypergraph, a: Configuration, psi: FlatState) -> FlatState:
@@ -102,14 +126,10 @@ def stabilizer_apply(hg: CalibratedHypergraph, a: Configuration, psi: FlatState)
     if psi.l != hg.l or len(a) != hg.l:
         raise GradeMismatch("grades do not match")
     ring = hg.ring
-    m = ring.char
-    sigma = phase_table(hg)
-    out = []
-    for x in all_configurations(ring, hg.l):
-        ix = config_index(ring, x)
-        ixa = config_index(ring, config_add(x, a))
-        out.append((psi.phases[ixa] + sigma[ix] - sigma[ixa]) % m)
-    return psi.with_phases(out)
+    a_idx = label_indices(ring, a, hg.l)
+    sigma = _sigma(hg)
+    shifted = translate_table(phase_array(psi) - sigma, ring, a_idx)
+    return psi.with_phases(shifted + sigma)
 
 
 def basis_state(hg: CalibratedHypergraph, a: Configuration) -> FlatState:
@@ -126,24 +146,22 @@ def check_covariance(hg: CalibratedHypergraph, f: OrdinalMorphism) -> bool:
 
 # -- dense operator matrices (computational-basis index order) --------------------
 
-def _omega(ring) -> complex:
-    return np.exp(2j * np.pi / ring.char)
-
-
-def dense_stabilizer_matrix(hg: CalibratedHypergraph, a: Configuration) -> np.ndarray:
-    """Stabilizer operator as a dense computational-basis matrix."""
+def _stabilizer_matrix(hg: CalibratedHypergraph, a_idx) -> np.ndarray:
     ring = hg.ring
     dim = ring.q ** hg.l
     if dim > dense_cap():
         raise TooLarge(f"dense stabilizer of dimension {dim} exceeds the cap")
-    w = _omega(ring)
-    sigma = phase_table(hg)
+    sigma = _sigma(hg)
+    source = np.arange(dim)
+    target = translate_table(source, ring, ring.kernel.neg[list(a_idx)])  # index of y - a
     mat = np.zeros((dim, dim), dtype=complex)
-    for y in all_configurations(ring, hg.l):
-        iy = config_index(ring, y)
-        target = config_index(ring, config_sub(y, a))
-        mat[target, iy] = w ** ((sigma[target] - sigma[iy]) % ring.char)
+    mat[target, source] = omega_powers(ring)[(sigma[target] - sigma) % ring.char]
     return mat
+
+
+def dense_stabilizer_matrix(hg: CalibratedHypergraph, a: Configuration) -> np.ndarray:
+    """Stabilizer operator as a dense computational-basis matrix."""
+    return _stabilizer_matrix(hg, label_indices(hg.ring, a, hg.l))
 
 
 def dense_he_matrix(f: OrdinalMorphism, ring) -> np.ndarray:
@@ -154,9 +172,7 @@ def dense_he_matrix(f: OrdinalMorphism, ring) -> np.ndarray:
         raise TooLarge("dense morphism action exceeds the cap")
     scale = float(ring.q) ** ((f.source_size - f.target_size) / 2.0)
     mat = np.zeros((dim_out, dim_in), dtype=complex)
-    for y in all_configurations(ring, f.target_size):
-        x = ef_transpose(f, y)
-        mat[config_index(ring, y), config_index(ring, x)] = scale
+    mat[np.arange(dim_out), pullback_table(np.arange(dim_in), ring, f)] = scale
     return mat
 
 
@@ -175,12 +191,13 @@ def check_stabilizer_pushforward(hg: CalibratedHypergraph, f: OrdinalMorphism,
     image = apply_morphism(f, hg)
     hf = dense_he_matrix(f, ring)
     scale = float(ring.q) ** (l - m)
-    for a in all_configurations(ring, l):
-        lhs = hf @ dense_stabilizer_matrix(hg, a) @ hf.conj().T
+    # label index of ef_transpose(f, b) for every image label b
+    transposed = pullback_table(np.arange(ring.q ** l), ring, f)
+    for a in range(ring.q ** l):
+        lhs = hf @ _stabilizer_matrix(hg, np.unravel_index(a, (ring.q,) * l)) @ hf.conj().T
         rhs = np.zeros((ring.q ** m, ring.q ** m), dtype=complex)
-        for b in all_configurations(ring, m):
-            if ef_transpose(f, b) == a:
-                rhs += dense_stabilizer_matrix(image, b)
+        for b in np.flatnonzero(transposed == a):
+            rhs += _stabilizer_matrix(image, np.unravel_index(b, (ring.q,) * m))
         if not np.allclose(lhs, scale * rhs, atol=tol):
             return False
     return True
@@ -188,18 +205,38 @@ def check_stabilizer_pushforward(hg: CalibratedHypergraph, f: OrdinalMorphism,
 
 # -- local maximal entangleability ---------------------------------------------
 
+# Entries of the (row, label, configuration) block one pairwise step compares.
+_PAIR_BLOCK = 1 << 15
+
+
 def lme_orthonormal(hg: CalibratedHypergraph) -> bool:
-    """Path one: the Z-translates of the state form an orthonormal set, exactly."""
+    """Path one: the Z-translates of the state form an orthonormal set, exactly.
+
+    Row a of the translate table holds the phases of Z(a) applied to the
+    state.  Blocks of rows are compared against all later rows at once:
+    the counts of each phase difference must be all-zero phases on the
+    diagonal (norm exactly 1) and a vanishing root-of-unity sum elsewhere.
+    """
     ring = hg.ring
-    psi = build_state(hg)
-    translates = [apply_pauli_z(a, psi) for a in all_configurations(ring, hg.l)]
-    for i, s in enumerate(translates):
-        counts = phase_difference_counts(s, s)
-        if s.norm_exp != -hg.l or counts[0] != ring.q ** hg.l or any(counts[1:]):
+    n, m = ring.q ** hg.l, ring.char
+    require_exact(n * n, "the pairwise orthonormality check")
+    translates = (pairing_matrix(ring, hg.l) + _sigma(hg)[None, :]) % m
+    rows = max(1, _PAIR_BLOCK // (n * n))
+    for start in range(0, n, rows):
+        block = translates[start:start + rows]
+        diff = translates[None, start:, :] - block[:, None, :]
+        diff %= m
+        pairs = diff.shape[0] * diff.shape[1]
+        diff += (np.arange(pairs) * m).reshape(diff.shape[:2] + (1,))  # one bin range per pair
+        counts = np.bincount(diff.reshape(-1), minlength=pairs * m)
+        counts = counts.reshape(diff.shape[:2] + (m,))
+        vanishing = ~cyclotomic_residues(counts, ring.p, ring.r).any(axis=-1)
+        own = np.arange(len(block))
+        if not (counts[own, own, 0] == n).all():
             return False  # norm not exactly 1
-        for t in translates[i + 1:]:
-            if not is_orthogonal(s, t):
-                return False
+        vanishing[own, own] = True
+        if not vanishing.all():
+            return False
     return True
 
 
@@ -214,20 +251,20 @@ def lme_check(hg: CalibratedHypergraph, tol: float = 1e-9) -> bool:
         return False
     ring = hg.ring
     dim = ring.q ** hg.l
-    if dim * dim > max(4096, 4 * dense_cap()):
+    # each column is a dense expansion of dimension dim, which the cap bounds too
+    if dim * dim > max(4096, 4 * dense_cap()) or dim > dense_cap():
         raise TooLarge("reduced-density path exceeds the dense cap")
-    psi = build_state(hg)
-    cols = []
-    scale = dim ** -0.5
-    for a in all_configurations(ring, hg.l):
-        cols.append(scale * to_dense(apply_pauli_z(a, psi)).amplitudes)
-    m = np.stack(cols, axis=1)  # rows: first factor, columns: extension label
+    # rows: first factor, columns: extension label a, entries the dense
+    # amplitudes of Z(a) applied to the state, scaled by dim^(-1/2)
+    exponents = (pairing_matrix(ring, hg.l) + _sigma(hg)[:, None]) % ring.char
+    m = omega_powers(ring)[exponents] * (float(ring.q) ** (-hg.l / 2.0) * dim ** -0.5)
     rho = m @ m.conj().T
     return bool(np.allclose(rho, np.eye(dim) / dim, atol=tol))
 
 
 def stabilizer_fixes_state(hg: CalibratedHypergraph) -> tuple[int, int]:
     """Count how many stabilizer operators leave the hypergraph state invariant."""
+    require_exact(hg.ring.q ** (2 * hg.l), "the stabilizer suite")
     psi = build_state(hg)
     good = 0
     total = 0

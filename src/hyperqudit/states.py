@@ -17,6 +17,10 @@ Exact inner products of flat states are handled as integer vectors of
 phase counts: sum_x omega^(d(x)) is stored as the count of each residue
 d(x) and tested against zero by reduction mod the p^r-th cyclotomic
 polynomial.
+
+The operators work on the phase table as a numpy int array of shape
+(q,)*l, gathering through the ring kernel's tables; ``FlatState.phases``
+itself stays a tuple of Python ints, converted at the boundary.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, GradeMismatch, RingMismatch, TooLarge, WrongBasis
-from .galois import GaloisRing, RingElement
+from .errors import BadSetting, BasisMismatch, GradeMismatch, RingMismatch, TooLarge, WrongBasis
+from .galois import GaloisRing, RingElement, require_exact
 from .hypergraph import OrdinalMorphism
 
 __all__ = [
@@ -70,9 +74,17 @@ _DEFAULT_DENSE_CAP = 1024
 
 
 def dense_cap() -> int:
-    """Dimension guard for dense cross-checks; HGS_DENSE_CAP overrides."""
+    """Dimension guard for dense cross-checks; HGS_DENSE_CAP, a positive integer, overrides."""
     raw = os.environ.get("HGS_DENSE_CAP")
-    return int(raw) if raw else _DEFAULT_DENSE_CAP
+    if not raw:
+        return _DEFAULT_DENSE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadSetting(f"HGS_DENSE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 # -- configurations -------------------------------------------------------------
@@ -181,26 +193,27 @@ class FlatState:
     @staticmethod
     def from_table(ring: GaloisRing, l: int, phases, basis: str = COMPUTATIONAL,
                    norm_exp: int | None = None) -> "FlatState":
-        table = tuple(int(v) % ring.char for v in phases)
-        return FlatState(ring, l, basis, -l if norm_exp is None else norm_exp, table)
+        return FlatState(ring, l, basis, -l if norm_exp is None else norm_exp,
+                         _reduced(phases, ring.char))
 
     @staticmethod
     def zero_ket(ring: GaloisRing, l: int) -> "FlatState":
         """The zero-configuration Hadamard ket: uniform phases over the
         computational table, the seed the hypergraph operator acts on."""
+        require_exact(ring.q ** l, "the zero ket")
         return FlatState(ring, l, COMPUTATIONAL, -l, (0,) * ring.q ** l)
 
     def phase_at(self, x: Configuration) -> int:
         return self.phases[config_index(self.ring, x)]
 
     def with_phases(self, phases, norm_exp: int | None = None) -> "FlatState":
+        """The same state data with a new phase table (any iterable of ints, or an int array)."""
         return FlatState(self.ring, self.l, self.basis,
                          self.norm_exp if norm_exp is None else norm_exp,
-                         tuple(int(v) % self.ring.char for v in phases))
+                         _reduced(phases, self.ring.char))
 
     def add_constant(self, c: int) -> "FlatState":
-        m = self.ring.char
-        return self.with_phases((v + c) % m for v in self.phases)
+        return self.with_phases(phase_array(self) + c % self.ring.char)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -214,52 +227,86 @@ class FlatState:
         return hash((self.ring.key, self.l, self.basis, self.norm_exp, self.phases))
 
 
-def _check_compatible(a: Configuration, psi: FlatState) -> None:
-    if len(a) != psi.l:
+def _reduced(phases, m: int) -> tuple[int, ...]:
+    """A phase table reduced mod p^r as the tuple of Python ints FlatState stores."""
+    if isinstance(phases, np.ndarray):
+        return tuple((phases % m).tolist())
+    return tuple(int(v) % m for v in phases)
+
+
+def phase_array(psi: FlatState) -> np.ndarray:
+    """The phase table as a flat int64 array (a fresh copy)."""
+    return np.array(psi.phases, dtype=np.int64)
+
+
+def label_indices(ring: GaloisRing, a: Configuration, l: int) -> list[int]:
+    """Element indices of a grade-l operator label over `ring`."""
+    if len(a) != l:
         raise GradeMismatch("operator grade does not match the state grade")
-    for e in a:
-        if e.ring.key != psi.ring.key:
-            raise RingMismatch("operator configuration over a different ring")
+    if any(e.ring.key != ring.key for e in a):
+        raise RingMismatch("operator configuration over a different ring")
+    return [ring.index(e) for e in a]
 
 
-def _pairing_table(psi: FlatState, a: Configuration) -> list[int]:
-    ring = psi.ring
-    return [trace_pairing(a, x) for x in all_configurations(ring, psi.l)]
+def pairing_table(ring: GaloisRing, a_idx) -> np.ndarray:
+    """<a, x> mod p^r for every configuration x of grade len(a_idx), flat."""
+    k = ring.kernel
+    l = len(a_idx)
+    total = np.zeros((1,) * l, dtype=np.int64)
+    for r, ar in enumerate(a_idx):
+        shape = [1] * l
+        shape[r] = ring.q
+        total = total + k.trace[k.mul[ar]].reshape(shape)
+    return np.broadcast_to(total % ring.char, (ring.q,) * l).reshape(-1)
 
 
-def _translate_table(psi: FlatState, a: Configuration) -> list[int]:
-    """Table t with t[x] = old phase at x + a."""
-    ring = psi.ring
-    out = []
-    for x in all_configurations(ring, psi.l):
-        out.append(psi.phases[config_index(ring, config_add(x, a))])
+def pairing_matrix(ring: GaloisRing, l: int) -> np.ndarray:
+    """The symmetric q^l x q^l matrix of <x, y> mod p^r, configuration order on both axes."""
+    k = ring.kernel
+    single = k.trace[k.mul]
+    out = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(l):
+        n = out.shape[0] * ring.q
+        out = ((out[:, None, :, None] + single[None, :, None, :]) % ring.char).reshape(n, n)
     return out
+
+
+def translate_table(values: np.ndarray, ring: GaloisRing, a_idx) -> np.ndarray:
+    """t[x] = values[x + a] for every configuration x of grade len(a_idx)."""
+    add = ring.kernel.add
+    grid = values.reshape((ring.q,) * len(a_idx))
+    return grid[np.ix_(*(add[:, ar] for ar in a_idx))].reshape(-1)
+
+
+def pullback_table(values: np.ndarray, ring: GaloisRing, f: OrdinalMorphism) -> np.ndarray:
+    """t[y] = values[ef_transpose(f, y)] for every configuration y of grade f.target_size."""
+    q, m = ring.q, f.target_size
+    grid = values.reshape((q,) * f.source_size)
+    axes = tuple(np.arange(q).reshape([q if s == f(r) else 1 for s in range(m)])
+                 for r in range(f.source_size))
+    return np.broadcast_to(grid[axes], (q,) * m).reshape(-1)
 
 
 def apply_pauli_z(a: Configuration, psi: FlatState) -> FlatState:
     """Pauli Z(a): ket-translation in the Hadamard basis, diagonal in the computational one."""
-    _check_compatible(a, psi)
     ring = psi.ring
+    a_idx = label_indices(ring, a, psi.l)
     if psi.basis == COMPUTATIONAL:
-        pair = _pairing_table(psi, a)
-        return psi.with_phases(
-            (v + t) % ring.char for v, t in zip(psi.phases, pair))
+        return psi.with_phases(phase_array(psi) + pairing_table(ring, a_idx))
     # Hadamard: amplitude at x + a is the old amplitude at x
-    minus_a = tuple(-e for e in a)
-    return psi.with_phases(_translate_table(psi, minus_a))
+    minus_a = ring.kernel.neg[a_idx]
+    return psi.with_phases(translate_table(phase_array(psi), ring, minus_a))
 
 
 def apply_pauli_x(a: Configuration, psi: FlatState) -> FlatState:
     """Pauli X(a): diagonal in the Hadamard basis, ket-translation in the computational one."""
-    _check_compatible(a, psi)
     ring = psi.ring
+    a_idx = label_indices(ring, a, psi.l)
     if psi.basis == HADAMARD:
-        pair = _pairing_table(psi, a)
-        return psi.with_phases(
-            (v + t) % ring.char for v, t in zip(psi.phases, pair))
+        return psi.with_phases(phase_array(psi) + pairing_table(ring, a_idx))
     # computational: X(a) maps the ket of x to the ket of x - a,
     # so the new table value at x is the old value at x + a
-    return psi.with_phases(_translate_table(psi, a))
+    return psi.with_phases(translate_table(phase_array(psi), ring, a_idx))
 
 
 def apply_he_morphism(f: OrdinalMorphism, psi: FlatState) -> FlatState:
@@ -273,11 +320,10 @@ def apply_he_morphism(f: OrdinalMorphism, psi: FlatState) -> FlatState:
     if f.source_size != psi.l:
         raise GradeMismatch("morphism source does not match the state grade")
     ring = psi.ring
-    phases = []
-    for y in all_configurations(ring, f.target_size):
-        phases.append(psi.phase_at(ef_transpose(f, y)))
+    require_exact(ring.q ** f.target_size, "the transported state")
     return FlatState(ring, f.target_size, COMPUTATIONAL,
-                     psi.norm_exp + (psi.l - f.target_size), tuple(phases))
+                     psi.norm_exp + (psi.l - f.target_size),
+                     _reduced(pullback_table(phase_array(psi), ring, f), ring.char))
 
 
 def tensor(psi: FlatState, phi: FlatState) -> FlatState:
@@ -286,15 +332,10 @@ def tensor(psi: FlatState, phi: FlatState) -> FlatState:
         raise RingMismatch("tensor of states over different rings")
     if psi.basis != phi.basis:
         raise BasisMismatch("tensor of states in different bases")
-    m = psi.ring.char
-    qm = psi.ring.q ** phi.l
-    phases = [0] * (len(psi.phases) * len(phi.phases))
-    for i, v in enumerate(psi.phases):
-        base = i * qm
-        for j, w in enumerate(phi.phases):
-            phases[base + j] = (v + w) % m
+    require_exact(len(psi.phases) * len(phi.phases), "the tensor product")
+    table = phase_array(psi)[:, None] + phase_array(phi)[None, :]
     return FlatState(psi.ring, psi.l + phi.l, psi.basis,
-                     psi.norm_exp + phi.norm_exp, tuple(phases))
+                     psi.norm_exp + phi.norm_exp, _reduced(table.reshape(-1), psi.ring.char))
 
 
 # -- exact inner products ----------------------------------------------------------
@@ -307,10 +348,23 @@ def phase_difference_counts(psi: FlatState, phi: FlatState) -> list[int]:
         raise GradeMismatch("inner product across grades")
     if psi.basis != phi.basis:
         raise BasisMismatch("inner product across bases")
-    counts = [0] * psi.ring.char
-    for a, b in zip(psi.phases, phi.phases):
-        counts[(b - a) % psi.ring.char] += 1
-    return counts
+    m = psi.ring.char
+    return np.bincount((phase_array(phi) - phase_array(psi)) % m, minlength=m).tolist()
+
+
+def cyclotomic_residues(counts: np.ndarray, p: int, r: int) -> np.ndarray:
+    """Remainders modulo the p^r-th cyclotomic polynomial of every count row (last axis)."""
+    # Phi_{p^r}(X) = sum_{i<p} X^(i p^(r-1)), monic of degree (p-1) p^(r-1); it
+    # divides X^(p^r) - 1, so exponents first fold mod p^r, and then
+    # X^(deg + j) = -sum_{i<p-1} X^(j + i p^(r-1)) for j < p^(r-1)
+    char = p ** r
+    step = p ** (r - 1)
+    deg = (p - 1) * step
+    folded = np.zeros(counts.shape[:-1] + (char,), dtype=np.int64)
+    for start in range(0, counts.shape[-1], char):
+        chunk = counts[..., start:start + char]
+        folded[..., :chunk.shape[-1]] += chunk
+    return folded[..., :deg] - np.tile(folded[..., deg:], p - 1)
 
 
 def cyclotomic_residue(counts: list[int], p: int, r: int) -> tuple[int, ...]:
@@ -319,16 +373,7 @@ def cyclotomic_residue(counts: list[int], p: int, r: int) -> tuple[int, ...]:
     The sum of roots of unity sum_j counts[j] omega^j vanishes exactly
     when this remainder is the zero vector.
     """
-    # Phi_{p^r}(X) = sum_{i<p} X^(i p^(r-1)), monic of degree (p-1) p^(r-1)
-    step = p ** (r - 1)
-    deg = (p - 1) * step
-    work = list(counts) + [0] * max(0, deg + 1 - len(counts))
-    for k in range(len(work) - 1, deg - 1, -1):
-        c = work[k]
-        if c:
-            for i in range(p):
-                work[k - deg + i * step] -= c
-    return tuple(work[:deg])
+    return tuple(cyclotomic_residues(np.array(counts, dtype=np.int64), p, r).tolist())
 
 
 def sum_of_phases_is_zero(counts: list[int], p: int, r: int) -> bool:
@@ -346,12 +391,9 @@ def equal_up_to_phase(psi: FlatState, phi: FlatState) -> int | None:
     if (psi.ring.key, psi.l, psi.basis, psi.norm_exp) != (
             phi.ring.key, phi.l, phi.basis, phi.norm_exp):
         return None
-    m = psi.ring.char
-    c = (phi.phases[0] - psi.phases[0]) % m
-    for a, b in zip(psi.phases, phi.phases):
-        if (b - a) % m != c:
-            return None
-    return c
+    diff = (phase_array(phi) - phase_array(psi)) % psi.ring.char
+    c = int(diff[0])
+    return c if bool((diff == c).all()) else None
 
 
 # -- dense cross-check representation -----------------------------------------------
@@ -365,8 +407,9 @@ class DenseState:
     amplitudes: np.ndarray
 
 
-def _omega(ring: GaloisRing) -> complex:
-    return np.exp(2j * np.pi / ring.char)
+def omega_powers(ring: GaloisRing) -> np.ndarray:
+    """omega^k for k < p^r, omega = exp(2 pi i / p^r): the table every dense path gathers from."""
+    return np.exp(2j * np.pi * np.arange(ring.char) / ring.char)
 
 
 def to_dense(psi: FlatState) -> DenseState:
@@ -376,19 +419,14 @@ def to_dense(psi: FlatState) -> DenseState:
     if dim > dense_cap():
         raise TooLarge(f"dense expansion of dimension {dim} exceeds the cap")
     mag = float(ring.q) ** (psi.norm_exp / 2.0)
+    omega = omega_powers(ring)
     if psi.basis == COMPUTATIONAL:
-        amps = mag * np.exp(2j * np.pi * np.array(psi.phases) / ring.char)
-        return DenseState(ring, psi.l, amps)
-    # Hadamard kets expanded over computational ones
-    w = _omega(ring)
-    configs = list(all_configurations(ring, psi.l))
-    amps = np.zeros(dim, dtype=complex)
+        return DenseState(ring, psi.l, mag * omega[phase_array(psi)])
+    # Hadamard kets expanded over computational ones: amplitude at y sums
+    # omega^(phase(x) + <y,x>) over x
     scale = mag * float(ring.q) ** (-psi.l / 2.0)
-    for j, x in enumerate(configs):
-        coef = scale * w ** psi.phases[j]
-        for i, y in enumerate(configs):
-            amps[i] += coef * w ** trace_pairing(y, x)
-    return DenseState(ring, psi.l, amps)
+    exponents = (pairing_matrix(ring, psi.l) + phase_array(psi)[None, :]) % ring.char
+    return DenseState(ring, psi.l, scale * omega[exponents].sum(axis=1))
 
 
 def fourier_matrix(ring: GaloisRing, l: int) -> np.ndarray:
@@ -396,13 +434,7 @@ def fourier_matrix(ring: GaloisRing, l: int) -> np.ndarray:
     dim = ring.q ** l
     if dim > dense_cap():
         raise TooLarge(f"Fourier matrix of dimension {dim} exceeds the cap")
-    w = _omega(ring)
-    configs = list(all_configurations(ring, l))
-    mat = np.empty((dim, dim), dtype=complex)
-    for i, x in enumerate(configs):
-        for j, y in enumerate(configs):
-            mat[i, j] = w ** trace_pairing(x, y)
-    return mat * float(ring.q) ** (-l / 2.0)
+    return omega_powers(ring)[pairing_matrix(ring, l)] * float(ring.q) ** (-l / 2.0)
 
 
 def fourier(psi: DenseState, direction: str = "forward") -> DenseState:

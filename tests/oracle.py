@@ -1,0 +1,178 @@
+"""Scalar reference implementations of the table paths, for differential tests.
+
+These are the per-configuration loops over ring elements that the
+package's numpy paths replace: each walks configurations one at a time
+with `RingElement` arithmetic, `trace_pairing` and `config_index`.  They
+are slow and kept only as the oracle the fast paths are compared with.
+"""
+
+import numpy as np
+
+from hyperqudit import (
+    COMPUTATIONAL,
+    HADAMARD,
+    FlatState,
+    all_configurations,
+    config_index,
+    ef_transpose,
+    phase_function,
+    trace_pairing,
+)
+from hyperqudit.states import config_add, config_sub
+
+
+def phase_table(hg):
+    return tuple(phase_function(hg, x) for x in all_configurations(hg.ring, hg.l))
+
+
+def _pairing_table(psi, a):
+    return [trace_pairing(a, x) for x in all_configurations(psi.ring, psi.l)]
+
+
+def _translate_table(psi, a):
+    """Table t with t[x] = old phase at x + a."""
+    ring = psi.ring
+    return [psi.phases[config_index(ring, config_add(x, a))]
+            for x in all_configurations(ring, psi.l)]
+
+
+def _with(psi, phases):
+    return FlatState(psi.ring, psi.l, psi.basis, psi.norm_exp,
+                     tuple(int(v) % psi.ring.char for v in phases))
+
+
+def apply_pauli_z(a, psi):
+    if psi.basis == COMPUTATIONAL:
+        return _with(psi, [v + t for v, t in zip(psi.phases, _pairing_table(psi, a))])
+    return _with(psi, _translate_table(psi, tuple(-e for e in a)))
+
+
+def apply_pauli_x(a, psi):
+    if psi.basis == HADAMARD:
+        return _with(psi, [v + t for v, t in zip(psi.phases, _pairing_table(psi, a))])
+    return _with(psi, _translate_table(psi, a))
+
+
+def apply_d(hg, psi):
+    return _with(psi, [v + s for v, s in zip(psi.phases, phase_table(hg))])
+
+
+def stabilizer_apply(hg, a, psi):
+    ring = hg.ring
+    sigma = phase_table(hg)
+    out = []
+    for x in all_configurations(ring, hg.l):
+        ix = config_index(ring, x)
+        ixa = config_index(ring, config_add(x, a))
+        out.append(psi.phases[ixa] + sigma[ix] - sigma[ixa])
+    return _with(psi, out)
+
+
+def apply_he_morphism(f, psi):
+    ring = psi.ring
+    phases = [psi.phase_at(ef_transpose(f, y)) for y in all_configurations(ring, f.target_size)]
+    return FlatState(ring, f.target_size, COMPUTATIONAL,
+                     psi.norm_exp + (psi.l - f.target_size), tuple(phases))
+
+
+def tensor(psi, phi):
+    m = psi.ring.char
+    phases = tuple((v + w) % m for v in psi.phases for w in phi.phases)
+    return FlatState(psi.ring, psi.l + phi.l, psi.basis, psi.norm_exp + phi.norm_exp, phases)
+
+
+def phase_difference_counts(psi, phi):
+    counts = [0] * psi.ring.char
+    for a, b in zip(psi.phases, phi.phases):
+        counts[(b - a) % psi.ring.char] += 1
+    return counts
+
+
+def cyclotomic_residue(counts, p, r):
+    """Remainder of sum_j counts[j] X^j modulo Phi_{p^r}, by long division."""
+    step = p ** (r - 1)
+    deg = (p - 1) * step
+    work = list(counts) + [0] * max(0, deg + 1 - len(counts))
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work[k]
+        if c:
+            for i in range(p):
+                work[k - deg + i * step] -= c
+    return tuple(work[:deg])
+
+
+def equal_up_to_phase(psi, phi):
+    if (psi.ring.key, psi.l, psi.basis, psi.norm_exp) != (
+            phi.ring.key, phi.l, phi.basis, phi.norm_exp):
+        return None
+    m = psi.ring.char
+    c = (phi.phases[0] - psi.phases[0]) % m
+    for a, b in zip(psi.phases, phi.phases):
+        if (b - a) % m != c:
+            return None
+    return c
+
+
+def lme_orthonormal(hg):
+    from hyperqudit import build_state
+
+    ring = hg.ring
+    psi = build_state(hg)
+    translates = [apply_pauli_z(a, psi) for a in all_configurations(ring, hg.l)]
+    for i, s in enumerate(translates):
+        counts = phase_difference_counts(s, s)
+        if s.norm_exp != -hg.l or counts[0] != ring.q ** hg.l or any(counts[1:]):
+            return False
+        for t in translates[i + 1:]:
+            if any(cyclotomic_residue(phase_difference_counts(s, t), ring.p, ring.r)):
+                return False
+    return True
+
+
+def _omega(ring):
+    return np.exp(2j * np.pi / ring.char)
+
+
+def hadamard_to_dense(psi):
+    """Dense computational amplitudes of a Hadamard-basis flat state."""
+    ring = psi.ring
+    w = _omega(ring)
+    configs = list(all_configurations(ring, psi.l))
+    amps = np.zeros(len(configs), dtype=complex)
+    scale = float(ring.q) ** (psi.norm_exp / 2.0) * float(ring.q) ** (-psi.l / 2.0)
+    for j, x in enumerate(configs):
+        coef = scale * w ** psi.phases[j]
+        for i, y in enumerate(configs):
+            amps[i] += coef * w ** trace_pairing(y, x)
+    return amps
+
+
+def fourier_matrix(ring, l):
+    w = _omega(ring)
+    configs = list(all_configurations(ring, l))
+    mat = np.empty((len(configs), len(configs)), dtype=complex)
+    for i, x in enumerate(configs):
+        for j, y in enumerate(configs):
+            mat[i, j] = w ** trace_pairing(x, y)
+    return mat * float(ring.q) ** (-l / 2.0)
+
+
+def dense_stabilizer_matrix(hg, a):
+    ring = hg.ring
+    dim = ring.q ** hg.l
+    w = _omega(ring)
+    sigma = phase_table(hg)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for y in all_configurations(ring, hg.l):
+        iy = config_index(ring, y)
+        target = config_index(ring, config_sub(y, a))
+        mat[target, iy] = w ** ((sigma[target] - sigma[iy]) % ring.char)
+    return mat
+
+
+def dense_he_matrix(f, ring):
+    scale = float(ring.q) ** ((f.source_size - f.target_size) / 2.0)
+    mat = np.zeros((ring.q ** f.target_size, ring.q ** f.source_size), dtype=complex)
+    for y in all_configurations(ring, f.target_size):
+        mat[config_index(ring, y), config_index(ring, ef_transpose(f, y))] = scale
+    return mat

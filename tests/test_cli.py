@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, determinism and exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,30 @@ class TestDenseCap:
         assert "exact path only" in out
         assert "pushforward skipped" in out
 
+    def test_json_reports_skip_and_judges_suites_that_ran(self, capsys, monkeypatch):
+        import hyperqudit.cli as cli
+
+        monkeypatch.setenv("HGS_DENSE_CAP", "4")
+        argv = ["--json", "state", "verify", str(FIXTURES / "qutrit_b.json"), "--lme",
+                "--pushforward"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["checks"]["pushforward"] == {"status": "skipped", "detail": "over dense cap"}
+        assert doc["checks"]["lme"]["ok"] is True and doc["ok"] is True
+        monkeypatch.setattr(cli, "lme_orthonormal", lambda hg: False)
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+    def test_invalid_cap_exits_one(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("HGS_DENSE_CAP", raw)
+        code, out, err = run(capsys, "state", "verify", str(FIXTURES / "qutrit_b.json"), "--lme")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "HGS_DENSE_CAP" in err
+
     def test_too_large_guard(self, f3, monkeypatch):
         from hyperqudit.errors import TooLarge
         from hyperqudit.states import to_dense
@@ -214,6 +239,18 @@ class TestDenseCap:
 
 
 class TestExitCodes:
+    def test_oversized_grade_exits_one(self, capsys, tmp_path):
+        doc = {"ring": {"name": "F3"}, "l": 40, "edges": [
+            {"vertices": [0, 39], "calibration": [{"w": {"0": [0, 0, 1]}, "value": 1}]}]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "state", "build", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "exact cap" in err
+
     def test_check_failure_exits_two(self, capsys, monkeypatch):
         # the suites cannot fail for valid inputs (the identities are
         # theorems), so force one to exercise the exit-code contract

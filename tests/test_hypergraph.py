@@ -252,6 +252,22 @@ class TestMonadicProduct:
             assert monadic_product(monadic_product(a, b), c) == monadic_product(a, monadic_product(b, c))
 
 
+class TestImmutability:
+    def test_calibration_is_read_only(self):
+        from hyperqudit import phase_table
+
+        hg = bell_hypergraph(1, 0)
+        before, table = hash(hg), phase_table(hg)
+        key = next(iter(hg.calib[(0, 1)]))
+        with pytest.raises(TypeError):
+            hg.calib[(0, 1)] = {}
+        with pytest.raises(TypeError):
+            hg.calib[(0, 1)][key] = 0
+        with pytest.raises(TypeError):
+            del hg.calib[(0, 1)][key]
+        assert hash(hg) == before and phase_table(hg) == table == phase_table(bell_hypergraph(1, 0))
+
+
 class TestJson:
     def test_round_trip_calibrated(self):
         for build in (lambda: bell_hypergraph(1, 1),):

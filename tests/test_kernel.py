@@ -1,0 +1,253 @@
+"""The integer ring kernel and the table paths, against the scalar reference.
+
+Every catalog ring is covered.  Kernel tables are compared entry by entry
+with `RingElement` arithmetic; phase tables with `phase_function` at every
+configuration; operators, exact inner products and dense builders with
+the per-configuration loops kept in `tests/oracle.py`.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hyperqudit.hyperstate as hyperstate
+from hyperqudit import (
+    COMPUTATIONAL,
+    HADAMARD,
+    RING_CATALOG,
+    CalibratedHypergraph,
+    CycExponent,
+    ExpFunc,
+    FlatState,
+    OrdinalMorphism,
+    all_configurations,
+    apply_d,
+    apply_he_morphism,
+    apply_pauli_x,
+    apply_pauli_z,
+    build_state,
+    equal_up_to_phase,
+    fourier_matrix,
+    index_period,
+    lme_orthonormal,
+    make_ring,
+    named_ring,
+    phase_function,
+    phase_table,
+    stabilizer_apply,
+    tensor,
+    to_dense,
+)
+from hyperqudit.errors import TooLarge
+from hyperqudit.galois import _KERNELS, EXACT_CAP
+from hyperqudit.hyperstate import dense_he_matrix, dense_stabilizer_matrix
+from hyperqudit.states import cyclotomic_residue, phase_difference_counts
+from tests import oracle
+
+CATALOG = sorted(RING_CATALOG)
+TOL = 1e-9
+
+
+def max_grade(ring, configs):
+    """The largest l <= 3 with q^l <= configs."""
+    return max(l for l in range(4) if ring.q ** l <= configs)
+
+
+@st.composite
+def exponents(draw, ring, dense):
+    """A generalized exponent: every component random, or one nonzero component."""
+    bounds = [sum(index_period(x)) for x in ring.elements]
+    if dense:
+        comps = [draw(st.integers(0, b - 1)) for b in bounds]
+    else:
+        comps = [0] * ring.q
+        movable = [i for i, b in enumerate(bounds) if b > 1]
+        i = draw(st.sampled_from(movable))
+        comps[i] = draw(st.integers(1, bounds[i] - 1))
+    return CycExponent.from_dense(ring, comps)
+
+
+@st.composite
+def hypergraphs(draw, ring, l):
+    edges = [e for size in range(1, l + 1) for e in itertools.combinations(range(l), size)]
+    dense = draw(st.booleans())
+    calib = {}
+    chosen = draw(st.lists(st.sampled_from(edges), max_size=3, unique=True)) if edges else []
+    for edge in chosen:
+        slot = {}
+        for _ in range(draw(st.integers(1, 2))):
+            support = draw(st.lists(st.sampled_from(edge), min_size=1, unique=True))
+            key = ExpFunc.make({v: draw(exponents(ring, dense)) for v in support})
+            slot[key] = draw(st.integers(0, ring.char - 1))
+        calib[edge] = slot
+    return CalibratedHypergraph(ring, l, calib, edges=calib.keys())
+
+
+def flat_states(ring, l, basis=COMPUTATIONAL):
+    return st.lists(st.integers(0, ring.char - 1), min_size=ring.q ** l,
+                    max_size=ring.q ** l).map(
+        lambda table: FlatState.from_table(ring, l, table, basis=basis))
+
+
+def labels(ring, l):
+    return st.tuples(*[st.sampled_from(ring.elements)] * l)
+
+
+# -- kernel tables --------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_kernel_tables_match_scalar_arithmetic(name):
+    ring = named_ring(name)
+    k = ring.kernel
+    els = ring.elements
+    for i, x in enumerate(els):
+        assert k.neg[i] == ring.index(-x)
+        assert k.trace[i] == ring.trace(x)
+        iota, pi = index_period(x)
+        assert (k.iota[i], k.period[i]) == (iota, pi)
+        assert [k.powers[i, u] for u in range(iota + pi)] == [
+            ring.index(x ** u) for u in range(iota + pi)]
+        for j, y in enumerate(els):
+            assert k.mul[i, j] == ring.index(ring._mul(x, y))
+            assert k.add[i, j] == ring.index(x + y)
+    assert k.powers.shape[1] == max(k.iota + k.period)
+    assert not k.mul.flags.writeable
+
+
+def test_kernel_is_lazy_and_shared_per_key():
+    desc = (5, 1, 2, (2, 1, 1))  # F25, outside the catalog
+    _KERNELS.pop(desc, None)
+    first = make_ring(*desc)
+    assert first.key not in _KERNELS
+    second = make_ring(*desc)
+    assert first.kernel is second.kernel
+
+
+# -- phase tables ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_phase_table_matches_phase_function(name, data):
+    ring = named_ring(name)
+    l = data.draw(st.integers(0, max_grade(ring, 512)))
+    hg = data.draw(hypergraphs(ring, l))
+    table = phase_table(hg)
+    assert all(type(v) is int for v in table)
+    assert table == oracle.phase_table(hg)
+    for i, x in enumerate(all_configurations(ring, l)):
+        assert table[i] == phase_function(hg, x)
+
+
+def test_phase_table_refuses_oversized_grade(f3):
+    hg = CalibratedHypergraph(f3, 40, edges=[(0, 1)])
+    assert f3.q ** 40 > EXACT_CAP
+    with pytest.raises(TooLarge):
+        phase_table(hg)
+    with pytest.raises(TooLarge):
+        FlatState.zero_ket(f3, 40)
+
+
+def test_f2_grade_twenty_builds(f2):
+    one = CycExponent.from_dense(f2, (1, 0))
+    hg = CalibratedHypergraph(f2, 20, {(0, 19): {ExpFunc.make({0: one, 19: one}): 1}})
+    phases = build_state(hg).phases
+    assert len(phases) == 2 ** 20
+    assert phases[-1] == 1 and phases[2 ** 19] == 0 and sum(phases) == 2 ** 18
+
+
+# -- operators ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_paulis_and_stabilizers_match_oracle(name, data):
+    ring = named_ring(name)
+    l = data.draw(st.integers(0, max_grade(ring, 256)))
+    hg = data.draw(hypergraphs(ring, l))
+    a = data.draw(labels(ring, l))
+    for basis in (COMPUTATIONAL, HADAMARD):
+        psi = data.draw(flat_states(ring, l, basis))
+        assert apply_pauli_z(a, psi) == oracle.apply_pauli_z(a, psi)
+        assert apply_pauli_x(a, psi) == oracle.apply_pauli_x(a, psi)
+    psi = data.draw(flat_states(ring, l))
+    assert stabilizer_apply(hg, a, psi) == oracle.stabilizer_apply(hg, a, psi)
+    assert apply_d(hg, psi) == oracle.apply_d(hg, psi)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_morphism_tensor_and_inner_products_match_oracle(name, data):
+    ring = named_ring(name)
+    top = max_grade(ring, 256)
+    l = data.draw(st.integers(0, top))
+    m = data.draw(st.integers(1 if l else 0, top))
+    f = OrdinalMorphism(l, m, tuple(data.draw(st.lists(
+        st.integers(0, max(m - 1, 0)), min_size=l, max_size=l))))
+    psi = data.draw(flat_states(ring, l))
+    assert apply_he_morphism(f, psi) == oracle.apply_he_morphism(f, psi)
+
+    l2 = data.draw(st.integers(0, top - l))
+    phi = data.draw(flat_states(ring, l2))
+    assert tensor(psi, phi) == oracle.tensor(psi, phi)
+
+    chi = data.draw(flat_states(ring, l))
+    assert phase_difference_counts(psi, chi) == oracle.phase_difference_counts(psi, chi)
+    assert equal_up_to_phase(psi, chi) == oracle.equal_up_to_phase(psi, chi)
+    c = data.draw(st.integers(0, ring.char - 1))
+    assert equal_up_to_phase(psi, psi.add_constant(c)) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_residue_matches_long_division(data):
+    p, r = data.draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]))
+    counts = data.draw(st.lists(st.integers(-20, 20), max_size=3 * p ** r))
+    assert cyclotomic_residue(counts, p, r) == oracle.cyclotomic_residue(counts, p, r)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_lme_orthonormal_matches_oracle(name, data):
+    ring = named_ring(name)
+    hg = data.draw(hypergraphs(ring, data.draw(st.integers(0, max_grade(ring, 64)))))
+    assert lme_orthonormal(hg) is oracle.lme_orthonormal(hg) is True
+    block = hyperstate._PAIR_BLOCK
+    hyperstate._PAIR_BLOCK = 1  # one row per block
+    try:
+        assert lme_orthonormal(hg)
+    finally:
+        hyperstate._PAIR_BLOCK = block
+
+
+def test_lme_orthonormal_detects_coinciding_translates(monkeypatch):
+    # with a degenerate pairing every Z-translate equals the state itself
+    hg = CalibratedHypergraph.empty(named_ring("F3"), 2)
+    monkeypatch.setattr(hyperstate, "pairing_matrix", lambda ring, l: np.zeros((9, 9), np.int64))
+    assert not lme_orthonormal(hg)
+
+
+# -- dense builders -------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_dense_builders_match_oracle(name, data):
+    ring = named_ring(name)
+    l = data.draw(st.integers(0, max_grade(ring, 64)))
+    psi = data.draw(flat_states(ring, l, HADAMARD))
+    assert np.allclose(to_dense(psi).amplitudes, oracle.hadamard_to_dense(psi), atol=TOL)
+    assert np.allclose(fourier_matrix(ring, l), oracle.fourier_matrix(ring, l), atol=TOL)
+    hg = data.draw(hypergraphs(ring, l))
+    a = data.draw(labels(ring, l))
+    assert np.allclose(dense_stabilizer_matrix(hg, a),
+                       oracle.dense_stabilizer_matrix(hg, a), atol=TOL)
+    m = data.draw(st.integers(1 if l else 0, l + 1))
+    if ring.q ** m <= 64:
+        f = OrdinalMorphism(l, m, tuple(data.draw(st.lists(
+            st.integers(0, max(m - 1, 0)), min_size=l, max_size=l))))
+        assert np.allclose(dense_he_matrix(f, ring), oracle.dense_he_matrix(f, ring), atol=TOL)
