@@ -15,6 +15,7 @@ throughout the test and demo suites.
 from __future__ import annotations
 
 from .cyclicity import CycExponent
+from .errors import UnknownRing
 from .galois import GaloisRing, make_ring
 from .hypergraph import CalibratedHypergraph, ExpFunc, MarkedHypergraph
 
@@ -50,7 +51,7 @@ _cache: dict[str, GaloisRing] = {}
 def named_ring(name: str) -> GaloisRing:
     key = name.strip()
     if key not in RING_CATALOG:
-        raise KeyError(f"unknown ring {name!r}; catalog: {sorted(RING_CATALOG)}")
+        raise UnknownRing(f"unknown ring {name!r}; catalog: {sorted(RING_CATALOG)}")
     if key not in _cache:
         p, r, d, modulus, find = RING_CATALOG[key]
         _cache[key] = make_ring(p, r, d, modulus, find_primitive=find)

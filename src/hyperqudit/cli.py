@@ -236,7 +236,11 @@ def cmd_convert(args) -> int:
         hg = weighted_to_calibrated(hypergraph_from_json(doc, "weighted"))
     elif args.source == "marked":
         mhg = hypergraph_from_json(doc, "marked")
-        x_star = mhg.ring.from_int(args.xstar) if args.xstar is not None else None
+        x_star = None
+        if args.xstar is not None:
+            if not 0 <= args.xstar < mhg.ring.p:
+                raise HyperquditError(f"--xstar {args.xstar} is not in [0, {mhg.ring.p})")
+            x_star = mhg.ring.from_int(args.xstar)
         hg = marked_to_calibrated(mhg, x_star)
     elif args.source == "poly":
         ring, l, tau = hypergraph_from_json(doc, "poly")
@@ -338,7 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HyperquditError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (HyperquditError, OSError, json.JSONDecodeError) as exc:
         message = {"error": str(exc), "type": type(exc).__name__}
         if getattr(args, "json", False):
             print(json.dumps(message), file=sys.stderr)

@@ -102,14 +102,18 @@ class CycExponent:
         pairs = dict(components) if not isinstance(components, dict) else components
         cleaned = []
         for idx, u in sorted(pairs.items()):
-            u = int(u)
+            try:
+                u = int(u)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise OutOfRange(f"component {u!r} at index {idx} is not an integer") from exc
             if u == 0:
                 continue
             if not 0 <= idx < ring.q:
                 raise OutOfRange(f"element index {idx} out of range")
             iota, pi = index_period(ring.elements[idx])
-            if not u < iota + pi:
-                raise OutOfRange(f"component {u} at index {idx} exceeds iota+pi = {iota + pi}")
+            if not 0 < u < iota + pi:
+                raise OutOfRange(
+                    f"component {u} at index {idx} outside [0, iota+pi = {iota + pi})")
             cleaned.append((idx, u))
         return CycExponent(ring, tuple(cleaned))
 

@@ -27,6 +27,10 @@ class NoPrimitiveElement(HyperquditError):
     """Operation needs a primitive element but the ring has none cached."""
 
 
+class UnknownRing(HyperquditError):
+    """A ring name that is not in the catalog."""
+
+
 # -- cyclicity ---------------------------------------------------------------
 
 class OutOfRange(HyperquditError):
@@ -45,6 +49,10 @@ class SizeMismatch(HyperquditError):
 
 class DomainMismatch(HyperquditError):
     """Exponent function not defined on the expected vertex set."""
+
+
+class BadDocument(HyperquditError):
+    """A JSON document lacks a field or has one of the wrong type."""
 
 
 # -- states -------------------------------------------------------------------

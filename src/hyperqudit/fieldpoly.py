@@ -14,15 +14,21 @@ closed form is available.
 
 None of this extends to proper Galois rings; every entry point rejects
 r > 1.
+
+The matrices are built and multiplied as integer index arrays through
+the ring kernel (see :class:`hyperqudit.galois.RingKernel`); entries
+become :class:`RingElement` values only when a public function returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclicity import CycExponent, power, special_exponents
+import numpy as np
+
+from .cyclicity import CycExponent, special_exponents
 from .errors import DegreeTooHigh, NoPrimitiveElement, NotField, RingMismatch, Singular
-from .galois import GaloisRing, RingElement
+from .galois import GaloisRing, RingElement, RingKernel
 
 __all__ = [
     "FieldPolynomial",
@@ -113,18 +119,107 @@ class FieldPolynomial:
         return f"FieldPolynomial({[c.coeffs for c in self.coeffs]})"
 
 
+# -- integer helpers over the ring kernel -------------------------------------------
+
+def _kernel(ring: GaloisRing) -> RingKernel:
+    _require_field(ring)
+    return ring.kernel
+
+
+def _matrix(ring: GaloisRing, idx: np.ndarray) -> Matrix:
+    """The public form of an index matrix: a tuple of rows of ring elements."""
+    elements = ring.elements
+    return tuple(tuple(elements[i] for i in row) for row in idx.tolist())
+
+
+def _indices(ring: GaloisRing, values) -> np.ndarray:
+    """Element indices of a sequence of ring elements; foreign elements are rejected."""
+    out = []
+    for v in values:
+        if not isinstance(v, RingElement) or v.ring.key != ring.key:
+            raise RingMismatch("element from a different ring")
+        out.append(ring.index(v))
+    return np.array(out, dtype=np.intp)
+
+
+def _reduce_exponents(k: RingKernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The representative below iota + pi of each exponent u for its base x."""
+    iota, bound = k.iota[x], k.iota[x] + k.period[x]
+    return np.where(u < bound, u, iota + (u - iota) % k.period[x])
+
+
+def _mat_vec(k: RingKernel, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The field product a . v of index arrays, one column of a at a time."""
+    out = np.zeros(len(a), dtype=np.intp)  # index 0 is zero
+    for j, vj in enumerate(v):
+        out = k.add[out, k.mul[a[:, j], vj]]
+    return out
+
+
+def _power_indices(ring: GaloisRing) -> np.ndarray:
+    k = _kernel(ring)
+    x = np.arange(ring.q)[:, None]
+    return k.powers[x, _reduce_exponents(k, x, np.arange(ring.q)[None, :])]
+
+
+def _power_inverse_indices(ring: GaloisRing) -> np.ndarray:
+    k = _kernel(ring)
+    xi = ring.primitive_theta
+    if xi is None:
+        raise NoPrimitiveElement("inverse power matrix needs a primitive element")
+    q = ring.q
+    xi_powers = k.powers[ring.index(xi), :q - 1]  # xi has period q - 1
+
+    # the blocks in xi-power order (0, 1, xi, ..., xi^(q-2)): row 0 is e_0;
+    # row k + 1 is -xi^((q-2-k) m) in column m + 1, and -1 in column 0 for k = q - 2
+    block = np.zeros((q, q), dtype=np.intp)
+    block[0, 0] = 1
+    block[q - 1, 0] = k.neg[1]
+    steps = (q - 2 - np.arange(q - 1))[:, None] * np.arange(q - 1)[None, :]
+    block[1:, 1:] = k.neg[xi_powers[steps % (q - 1)]]
+
+    # position of each canonical element in xi-power order
+    pos = np.empty(q, dtype=np.intp)
+    pos[0] = 0
+    pos[xi_powers] = np.arange(1, q)
+    return block[:, pos]
+
+
+def _gauss_jordan(k: RingKernel, mat: np.ndarray) -> np.ndarray:
+    """Inverse of a square index matrix by elimination on [mat | I]."""
+    n = len(mat)
+    work = np.concatenate([mat, np.eye(n, dtype=np.intp)], axis=1)  # index 1 is one
+    for col in range(n):
+        nonzero = np.flatnonzero(work[col:, col])
+        if not nonzero.size:
+            raise Singular("matrix is singular over the field")
+        pivot = col + nonzero[0]
+        work[[col, pivot]] = work[[pivot, col]]
+        work[col] = k.mul[_field_inverse(k, work[col, col]), work[col]]
+        factors = work[:, col].copy()
+        factors[col] = 0
+        work = k.add[work, k.neg[k.mul[factors[:, None], work[col]]]]
+    return work[:, n:]
+
+
+def _field_inverse(k: RingKernel, x: int) -> int:
+    """x^-1 = x^(order - 1), read from the power table."""
+    if x == 0:
+        raise Singular("zero pivot")
+    return k.powers[x, k.period[x] - 1]
+
+
+def _basic_indices(ring: GaloisRing) -> np.ndarray:
+    k = _kernel(ring)
+    special = special_exponents(ring)
+    return np.stack([k.power_values(s.items) for s in special.s], axis=1)
+
+
+# -- public matrices and polynomials -----------------------------------------------
+
 def power_matrix(ring: GaloisRing) -> Matrix:
     """Entry (x, k) is x^k; rows in canonical element order, columns k in [q]."""
-    _require_field(ring)
-    rows = []
-    for x in ring.elements:
-        row = []
-        acc = ring.one
-        for _ in range(ring.q):
-            row.append(acc)
-            acc = acc * x
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _matrix(ring, _power_indices(ring))
 
 
 def power_matrix_inverse(ring: GaloisRing) -> Matrix:
@@ -134,74 +229,26 @@ def power_matrix_inverse(ring: GaloisRing) -> Matrix:
     with xi primitive; the columns are permuted back to the canonical
     order afterwards.
     """
-    _require_field(ring)
-    xi = ring.primitive_theta
-    if xi is None:
-        raise NoPrimitiveElement("inverse power matrix needs a primitive element")
-    q = ring.q
-    minus_one = -ring.one
-
-    # xi-power order: position of each element in (0, 1, xi, ..., xi^(q-2))
-    order = [ring.zero, ring.one]
-    acc = xi
-    for _ in range(q - 2):
-        order.append(acc)
-        acc = acc * xi
-    pos = {e.coeffs: i for i, e in enumerate(order)}
-
-    block = [[ring.zero] * q for _ in range(q)]
-    block[0][0] = ring.one
-    for k in range(q - 1):
-        block[k + 1][0] = minus_one if k == q - 2 else ring.zero
-        for m in range(q - 1):
-            block[k + 1][m + 1] = minus_one * xi ** ((q - 2 - k) * m)
-
-    rows = []
-    for k in range(q):
-        rows.append(tuple(block[k][pos[x.coeffs]] for x in ring.elements))
-    return tuple(rows)
+    return _matrix(ring, _power_inverse_indices(ring))
 
 
 def gaussian_inverse(ring: GaloisRing, mat: Matrix) -> Matrix:
     """Matrix inverse over the field by Gauss-Jordan elimination."""
-    _require_field(ring)
+    k = _kernel(ring)
     n = len(mat)
-    work = [list(row) + [ring.one if i == j else ring.zero for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
-        if pivot is None:
-            raise Singular("matrix is singular over the field")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = _field_inverse(ring, work[col][col])
-        work[col] = [inv * v for v in work[col]]
-        for i in range(n):
-            if i != col and not work[i][col].is_zero():
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def _field_inverse(ring: GaloisRing, x: RingElement) -> RingElement:
-    order = ring.multiplicative_order(x)
-    if order is None:
-        raise Singular("zero pivot")
-    return x ** (order - 1)
+    if any(len(row) != n for row in mat):
+        raise Singular("a non-square matrix has no inverse")
+    idx = _indices(ring, (e for row in mat for e in row)).reshape(n, n)
+    return _matrix(ring, _gauss_jordan(k, idx))
 
 
 def m_polynomial(ring: GaloisRing, u: CycExponent) -> FieldPolynomial:
     """The unique degree < q polynomial agreeing with the power function of u."""
-    _require_field(ring)
+    k = _kernel(ring)
     if u.ring.key != ring.key:
         raise RingMismatch("exponent over a different ring")
-    ainv = power_matrix_inverse(ring)
-    coeffs = []
-    for k in range(ring.q):
-        acc = ring.zero
-        for j, x in enumerate(ring.elements):
-            acc = acc + ainv[k][j] * power(x, u)
-        coeffs.append(acc)
-    return FieldPolynomial.make(ring, coeffs)
+    coeffs = _mat_vec(k, _power_inverse_indices(ring), k.power_values(u.items))
+    return FieldPolynomial.make(ring, [ring.elements[i] for i in coeffs.tolist()])
 
 
 def reduce_mod_universal(f: FieldPolynomial) -> FieldPolynomial:
@@ -220,13 +267,8 @@ def reduce_mod_universal(f: FieldPolynomial) -> FieldPolynomial:
 
 def basic_power_matrix(ring: GaloisRing) -> tuple[Matrix, Matrix]:
     """Entry (x, y) is x to the generating exponent of y, with its inverse."""
-    _require_field(ring)
-    special = special_exponents(ring)
-    rows = []
-    for x in ring.elements:
-        rows.append(tuple(power(x, special.s[j]) for j in range(ring.q)))
-    c = tuple(rows)
-    return c, gaussian_inverse(ring, c)
+    c = _basic_indices(ring)
+    return _matrix(ring, c), _matrix(ring, _gauss_jordan(ring.kernel, c))
 
 
 def expand_in_basic(f: FieldPolynomial) -> tuple[RingElement, ...]:
@@ -238,20 +280,9 @@ def expand_in_basic(f: FieldPolynomial) -> tuple[RingElement, ...]:
     ring = f.ring
     if f.degree() >= ring.q:
         raise DegreeTooHigh(f"degree {f.degree()} polynomial needs reducing first")
-    a = power_matrix(ring)
-    _, cinv = basic_power_matrix(ring)
-    zero = ring.zero
+    k = _kernel(ring)
+    coeffs = _indices(ring, f.coeffs)
     # values of f at every element, as A . coeffs
-    values = []
-    for z in range(ring.q):
-        acc = zero
-        for k, coeff in enumerate(f.coeffs):
-            acc = acc + a[z][k] * coeff
-        values.append(acc)
-    out = []
-    for y in range(ring.q):
-        acc = zero
-        for z in range(ring.q):
-            acc = acc + cinv[y][z] * values[z]
-        out.append(acc)
-    return tuple(out)
+    values = _mat_vec(k, _power_indices(ring)[:, :len(coeffs)], coeffs)
+    cinv = _gauss_jordan(k, _basic_indices(ring))
+    return tuple(ring.elements[i] for i in _mat_vec(k, cinv, values).tolist())

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     BadCoefficient,
+    BadDocument,
     NoPrimitiveElement,
     NonMonic,
     OutOfRange,
@@ -474,14 +475,18 @@ def ring_to_descriptor(ring: GaloisRing) -> dict:
 
 
 def ring_from_descriptor(desc: dict) -> GaloisRing:
+    if not isinstance(desc, dict):
+        raise BadDocument(f"a ring descriptor must be an object, got {type(desc).__name__}")
     if "name" in desc:
         from .catalog import named_ring
 
+        if not isinstance(desc["name"], str):
+            raise BadDocument(f"ring name must be a string, got {desc['name']!r}")
         return named_ring(desc["name"])
     try:
         p, r, d = int(desc["p"]), int(desc["r"]), int(desc["d"])
         modulus = [int(c) for c in desc["modulus"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadCoefficient(f"malformed ring descriptor: {desc!r}") from exc
     find = desc.get("find_primitive")
     return make_ring(p, r, d, modulus, find_primitive=find)

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 
 from .cyclicity import CycExponent, exp_add
 from .errors import (
+    BadDocument,
     BadMark,
     DomainMismatch,
     HyperquditError,
@@ -369,45 +370,89 @@ def hypergraph_to_json(hg: CalibratedHypergraph | WeightedHypergraph | MarkedHyp
     return doc
 
 
+_REQUIRED = object()
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise BadDocument(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _field(doc, key: str, what: str, default=_REQUIRED):
+    """doc[key] of a JSON object; BadDocument when doc is no object or lacks a required key."""
+    if key in _object(doc, what):
+        return doc[key]
+    if default is _REQUIRED:
+        raise BadDocument(f"{what} has no {key!r} field")
+    return default
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadDocument(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise BadDocument(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _vertices(entry) -> tuple[int, ...]:
+    vertices = _list(_field(entry, "vertices", "an edge"), "vertices")
+    return tuple(_int(v, "a vertex") for v in vertices)
+
+
 def hypergraph_from_json(doc: dict, kind: str = "calibrated"):
     """Parse a hypergraph document; kind is calibrated, weighted, marked or poly.
 
     The poly variant returns (hypergraph edges as a dict vertex-tuple ->
     {assignment: value}, ring, l) consumed by the polynomial-phase
     conversion, since a polynomial phase datum is not itself a hypergraph
-    type of this module.
+    type of this module.  A missing field or one of the wrong type
+    raises BadDocument.
     """
-    ring = ring_from_descriptor(doc["ring"])
-    l = int(doc["l"])
-    edges = doc.get("edges", [])
+    ring = ring_from_descriptor(_field(doc, "ring", "a hypergraph document"))
+    l = _int(_field(doc, "l", "a hypergraph document"), "l")
+    edges = _list(doc.get("edges", []), "edges")
     if kind == "calibrated":
         calib: dict[Edge, dict[ExpFunc, int]] = {}
         plain: list[Edge] = []
         for entry in edges:
-            edge = tuple(entry["vertices"])
+            edge = _vertices(entry)
             plain.append(edge)
             slot: dict[ExpFunc, int] = {}
-            for item in entry.get("calibration", []):
+            for item in _list(entry.get("calibration", []), "calibration"):
                 w = ExpFunc.make({
-                    int(v): CycExponent.from_dense(ring, dense)
-                    for v, dense in item["w"].items()
+                    _int(v, "a key vertex"): CycExponent.from_dense(
+                        ring, _list(dense, "an exponent"))
+                    for v, dense in _object(_field(item, "w", "a calibration entry"), "w").items()
                 })
-                slot[w] = (slot.get(w, 0) + int(item["value"])) % ring.char
+                value = _int(_field(item, "value", "a calibration entry"), "a calibration value")
+                slot[w] = (slot.get(w, 0) + value) % ring.char
             calib[edge] = slot
         return CalibratedHypergraph(ring, l, calib, edges=plain)
     if kind == "weighted":
-        return WeightedHypergraph.make(
-            ring, l, {tuple(e["vertices"]): int(e.get("weight", 0)) for e in edges})
+        return WeightedHypergraph.make(ring, l, {
+            _vertices(e): _int(_field(e, "weight", "a weighted edge", 0), "a weight")
+            for e in edges})
     if kind == "marked":
-        return MarkedHypergraph.make(
-            ring, l, {tuple(e["vertices"]): int(e["target"]) for e in edges})
+        return MarkedHypergraph.make(ring, l, {
+            _vertices(e): _int(_field(e, "target", "a marked edge"), "a target")
+            for e in edges})
     if kind == "poly":
         tau: dict[Edge, dict[tuple[tuple[int, int], ...], int]] = {}
         for entry in edges:
-            edge = _normalize_edge(entry["vertices"], l)
+            edge = _normalize_edge(_vertices(entry), l)
             slot = tau.setdefault(edge, {})
-            for item in entry.get("poly", []):
-                key = tuple(sorted((int(v), int(k)) for v, k in item["a"].items()))
-                slot[key] = (slot.get(key, 0) + int(item["value"])) % ring.char
+            for item in _list(entry.get("poly", []), "poly"):
+                a = _object(_field(item, "a", "a poly entry"), "a")
+                key = tuple(sorted((_int(v, "a vertex"), _int(k, "a poly exponent"))
+                                   for v, k in a.items()))
+                value = _int(_field(item, "value", "a poly entry"), "a poly value")
+                slot[key] = (slot.get(key, 0) + value) % ring.char
         return ring, l, tau
     raise HyperquditError(f"unknown hypergraph kind {kind!r}")

@@ -18,6 +18,8 @@ scalar definition of sigma at one configuration.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .cyclicity import power
@@ -28,7 +30,6 @@ from .states import (
     COMPUTATIONAL,
     Configuration,
     FlatState,
-    all_configurations,
     apply_he_morphism,
     apply_pauli_z,
     cyclotomic_residues,
@@ -264,12 +265,14 @@ def lme_check(hg: CalibratedHypergraph, tol: float = 1e-9) -> bool:
 
 def stabilizer_fixes_state(hg: CalibratedHypergraph) -> tuple[int, int]:
     """Count how many stabilizer operators leave the hypergraph state invariant."""
-    require_exact(hg.ring.q ** (2 * hg.l), "the stabilizer suite")
-    psi = build_state(hg)
+    ring, l = hg.ring, hg.l
+    require_exact(ring.q ** (2 * l), "the stabilizer suite")
+    # stabilizer_apply for every label, with sigma and psi converted once
+    sigma = _sigma(hg)
+    psi = phase_array(build_state(hg))
+    unshifted = psi - sigma
     good = 0
-    total = 0
-    for a in all_configurations(hg.ring, hg.l):
-        total += 1
-        if stabilizer_apply(hg, a, psi) == psi:
-            good += 1
-    return good, total
+    for a_idx in itertools.product(range(ring.q), repeat=l):
+        moved = (translate_table(unshifted, ring, a_idx) + sigma) % ring.char
+        good += bool(np.array_equal(moved, psi))
+    return good, ring.q ** l

@@ -2,8 +2,10 @@
 
 These are the per-configuration loops over ring elements that the
 package's numpy paths replace: each walks configurations one at a time
-with `RingElement` arithmetic, `trace_pairing` and `config_index`.  They
-are slow and kept only as the oracle the fast paths are compared with.
+with `RingElement` arithmetic, `trace_pairing` and `config_index`.  The
+field-polynomial matrices at the end are the same kind of loop over
+matrix entries.  They are slow and kept only as the oracle the fast
+paths are compared with.
 """
 
 import numpy as np
@@ -11,13 +13,17 @@ import numpy as np
 from hyperqudit import (
     COMPUTATIONAL,
     HADAMARD,
+    FieldPolynomial,
     FlatState,
     all_configurations,
     config_index,
     ef_transpose,
     phase_function,
+    power,
+    special_exponents,
     trace_pairing,
 )
+from hyperqudit.errors import Singular
 from hyperqudit.states import config_add, config_sub
 
 
@@ -176,3 +182,97 @@ def dense_he_matrix(f, ring):
     for y in all_configurations(ring, f.target_size):
         mat[config_index(ring, y), config_index(ring, ef_transpose(f, y))] = scale
     return mat
+
+
+# -- field-polynomial matrices ----------------------------------------------------------
+
+def power_matrix(ring):
+    rows = []
+    for x in ring.elements:
+        row = []
+        acc = ring.one
+        for _ in range(ring.q):
+            row.append(acc)
+            acc = acc * x
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def power_matrix_inverse(ring):
+    """The closed block formula in the order (0, 1, xi, ...), columns permuted back."""
+    xi = ring.primitive_theta
+    q = ring.q
+    minus_one = -ring.one
+    order = [ring.zero, ring.one]
+    acc = xi
+    for _ in range(q - 2):
+        order.append(acc)
+        acc = acc * xi
+    pos = {e.coeffs: i for i, e in enumerate(order)}
+    block = [[ring.zero] * q for _ in range(q)]
+    block[0][0] = ring.one
+    for k in range(q - 1):
+        block[k + 1][0] = minus_one if k == q - 2 else ring.zero
+        for m in range(q - 1):
+            block[k + 1][m + 1] = minus_one * xi ** ((q - 2 - k) * m)
+    return tuple(tuple(block[k][pos[x.coeffs]] for x in ring.elements) for k in range(q))
+
+
+def _field_inverse(ring, x):
+    return x ** (ring.multiplicative_order(x) - 1)
+
+
+def gaussian_inverse(ring, mat):
+    n = len(mat)
+    work = [list(row) + [ring.one if i == j else ring.zero for j in range(n)]
+            for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
+        if pivot is None:
+            raise Singular("matrix is singular over the field")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = _field_inverse(ring, work[col][col])
+        work[col] = [inv * v for v in work[col]]
+        for i in range(n):
+            if i != col and not work[i][col].is_zero():
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def m_polynomial(ring, u, ainv=None):
+    """Coefficients A^-1 . (x^u)_x; pass `ainv` to skip rebuilding the inverse."""
+    ainv = power_matrix_inverse(ring) if ainv is None else ainv
+    coeffs = []
+    for k in range(ring.q):
+        acc = ring.zero
+        for j, x in enumerate(ring.elements):
+            acc = acc + ainv[k][j] * power(x, u)
+        coeffs.append(acc)
+    return FieldPolynomial.make(ring, coeffs)
+
+
+def basic_power_matrix(ring):
+    special = special_exponents(ring)
+    c = tuple(tuple(power(x, special.s[j]) for j in range(ring.q)) for x in ring.elements)
+    return c, gaussian_inverse(ring, c)
+
+
+def expand_in_basic(f, a=None, cinv=None):
+    """Cinv . A . coeffs; pass `a` and `cinv` to skip rebuilding them."""
+    ring = f.ring
+    a = power_matrix(ring) if a is None else a
+    cinv = basic_power_matrix(ring)[1] if cinv is None else cinv
+    values = []
+    for z in range(ring.q):
+        acc = ring.zero
+        for k, coeff in enumerate(f.coeffs):
+            acc = acc + a[z][k] * coeff
+        values.append(acc)
+    out = []
+    for y in range(ring.q):
+        acc = ring.zero
+        for z in range(ring.q):
+            acc = acc + cinv[y][z] * values[z]
+        out.append(acc)
+    return tuple(out)

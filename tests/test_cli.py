@@ -251,6 +251,41 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "exact cap" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"ring": {"name": "F3"}, "l": "x", "edges": []}, "l must be an integer"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": 5}, "edges must be a list"),
+        ({"l": 2, "edges": []}, "no 'ring' field"),
+        ({"ring": {"name": "F6"}, "l": 2, "edges": []}, "unknown ring 'F6'"),
+        ({"ring": 5, "l": 2}, "ring descriptor must be an object"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, 1], "calibration": [
+            {"w": {"0": ["a", 0, 0]}, "value": 1}]}]}, "component 'a' at index 0"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": [{"calibration": []}]}, "no 'vertices' field"),
+    ])
+    def test_malformed_document_exits_one(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "state", "build", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x_star", ["3", "7", "-2"])
+    def test_xstar_out_of_range_exits_one(self, capsys, x_star):
+        code, out, err = run(capsys, "convert", str(FIXTURES / "marked_qutrit_b.json"),
+                             "--from", "marked", "--xstar", x_star)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--xstar" in err
+
+    def test_xstar_in_range_converts(self, capsys):
+        argv = ["convert", str(FIXTURES / "marked_qutrit_b.json"), "--from", "marked"]
+        code, default, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--xstar", "2") == (0, default, "")
+        code, other, _ = run(capsys, *argv, "--xstar", "0")
+        assert code == 0 and other != default
+
     def test_check_failure_exits_two(self, capsys, monkeypatch):
         # the suites cannot fail for valid inputs (the identities are
         # theorems), so force one to exercise the exit-code contract

@@ -196,6 +196,10 @@ class TestExpAdd:
         with pytest.raises(OutOfRange):
             CycExponent.make(f2, {one_idx: 1})
 
+    def test_negative_component_rejected(self, f3):
+        with pytest.raises(OutOfRange):
+            CycExponent.from_dense(f3, (0, 0, -1))
+
     def test_ring_mismatch(self, f2, f3):
         with pytest.raises(RingMismatch):
             exp_add(CycExponent.zero(f2), CycExponent.zero(f3))

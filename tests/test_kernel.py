@@ -178,6 +178,34 @@ def test_paulis_and_stabilizers_match_oracle(name, data):
 
 
 @pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_stabilizer_suite_matches_per_label_loop(name, data):
+    """The suite's count equals stabilizer_apply(hg, a, psi) == psi over every label a.
+
+    build_state is replaced by sigma plus an offset table, so that labels
+    fail as well: the offset is random, or depends on a subset of the
+    vertices only, in which case labels zero on that subset still pass.
+    """
+    ring = named_ring(name)
+    l = data.draw(st.integers(0, max_grade(ring, 64)))
+    hg = data.draw(hypergraphs(ring, l))
+    sigma = np.array(phase_table(hg)).reshape((ring.q,) * l)
+    offset = np.array(data.draw(flat_states(ring, l)).phases).reshape((ring.q,) * l)
+    for v in data.draw(st.lists(st.integers(0, max(l - 1, 0)), max_size=l) if l else st.just([])):
+        offset = np.take(offset, [0] * ring.q, axis=v)  # constant along vertex v
+    psi = build_state(hg).with_phases((sigma + offset).reshape(-1))
+    monkeypatch = pytest.MonkeyPatch()
+    monkeypatch.setattr(hyperstate, "build_state", lambda graph: psi)
+    try:
+        counts = hyperstate.stabilizer_fixes_state(hg)
+    finally:
+        monkeypatch.undo()
+    expected = [stabilizer_apply(hg, a, psi) == psi for a in all_configurations(ring, l)]
+    assert counts == (sum(expected), len(expected))
+
+
+@pytest.mark.parametrize("name", CATALOG)
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_morphism_tensor_and_inner_products_match_oracle(name, data):
