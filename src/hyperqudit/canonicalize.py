@@ -18,7 +18,9 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
-from .cyclicity import CycExponent, reduce_exponent, special_exponents
+import numpy as np
+
+from .cyclicity import CycExponent, reduce_exponents, special_exponents
 from .errors import (
     ExponentOutOfRange,
     NotBinaryField,
@@ -71,21 +73,14 @@ def effectivize(hg: CalibratedHypergraph) -> tuple[CalibratedHypergraph, int]:
     """
     ring = hg.ring
     constant = 0
-    grouped: dict[Edge, dict[ExpFunc, int]] = {}
-    for edge, w, val in hg.stored_entries():
+    grouped = []
+    for _, w, val in hg.stored_entries():
         supp = w.support()
-        if not supp:
-            constant = (constant + val * ring.trace(ring.one)) % ring.char
-            continue
-        slot = grouped.setdefault(supp, {})
-        key = w.restrict(supp)
-        newval = (slot.get(key, 0) + val) % ring.char
-        if newval:
-            slot[key] = newval
+        if supp:
+            grouped.append((supp, w, val))
         else:
-            slot.pop(key, None)
-    grouped = {e: vs for e, vs in grouped.items() if vs}
-    return CalibratedHypergraph(ring, hg.l, grouped, edges=grouped.keys()), constant
+            constant = (constant + val * ring.trace(ring.one)) % ring.char
+    return CalibratedHypergraph(ring, hg.l, entries=grouped), constant
 
 
 def support_index(hg: CalibratedHypergraph) -> tuple[tuple[int, ...], int]:
@@ -158,10 +153,9 @@ def weighted_to_calibrated(whg: WeightedHypergraph) -> CalibratedHypergraph:
 
 def _exponent_of_power(ring: GaloisRing, k: int) -> CycExponent:
     """The generalized exponent acting as the k-th power on every element."""
-    comps = {}
-    for idx, x in enumerate(ring.elements):
-        comps[idx] = reduce_exponent(x, k)
-    return CycExponent.make(ring, comps)
+    kernel = ring.kernel
+    comps = reduce_exponents(kernel.iota, kernel.period, np.asarray(k))
+    return CycExponent.make(ring, dict(enumerate(comps.tolist())))
 
 
 def poly_to_calibrated(ring: GaloisRing, l: int,
@@ -175,12 +169,9 @@ def poly_to_calibrated(ring: GaloisRing, l: int,
     the phase functions agree pointwise; exponents at or above delta
     fold the same way as their reduced representatives.
     """
-    calib: dict[Edge, dict[ExpFunc, int]] = {}
-    plain: list[Edge] = []
+    calibration = []
     for edge, entries in tau.items():
         edge = tuple(sorted(edge))
-        plain.append(edge)
-        slot = calib.setdefault(edge, {})
         for assignment, val in entries.items():
             pairs = dict(assignment) if not isinstance(assignment, dict) else assignment
             if any(k < 0 for k in pairs.values()):
@@ -189,12 +180,8 @@ def poly_to_calibrated(ring: GaloisRing, l: int,
                 raise ExponentOutOfRange(f"assignment {pairs} leaves edge {edge}")
             key = ExpFunc.make({
                 v: _exponent_of_power(ring, k) for v, k in pairs.items()})
-            newval = (slot.get(key, 0) + val) % ring.char
-            if newval:
-                slot[key] = newval
-            else:
-                slot.pop(key, None)
-    return CalibratedHypergraph(ring, l, calib, edges=plain)
+            calibration.append((edge, key, val))
+    return CalibratedHypergraph(ring, l, edges=tau, entries=calibration)
 
 
 def qubit_to_weighted(hg: CalibratedHypergraph) -> tuple[WeightedHypergraph, int]:

@@ -126,6 +126,7 @@ def _verify_morphisms(l: int) -> list[OrdinalMorphism]:
 
 def cmd_state_verify(args) -> int:
     hg = hypergraph_from_json(_load_json(args.hypergraph), "calibrated")
+    build_state(hg)  # every suite needs the phase table, so an oversized grade stops here
     selected = [name for name, on in (
         ("stabilizer", args.stabilizer), ("covariance", args.covariance),
         ("lme", args.lme), ("pushforward", args.pushforward)) if on]

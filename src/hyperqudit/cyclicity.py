@@ -11,6 +11,11 @@ u = (u_x); the power x^u means x raised to u's own x-component, so the
 integer exponent applied depends on the base.  Conventionally 0^0 = 1,
 which is forced by the cyclic monoid of 0 having the two distinct
 powers 0^0 = 1 and 0^1 = 0.
+
+Elements and exponents are the API boundary; the per-element data
+(iota, pi and the table of powers) is read only from the ring's kernel
+(see :class:`hyperqudit.galois.RingKernel`), and ``reduce_exponents``
+is the one exponent reducer, for single exponents and whole arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRange, RingMismatch
-from .galois import GaloisRing, RingElement
+from .galois import GaloisRing, RingElement, exact_int
 
 __all__ = [
     "CycExponent",
@@ -35,39 +40,24 @@ __all__ = [
 
 
 def index_period(x: RingElement) -> tuple[int, int]:
-    """Smallest (iota, pi) with x^0..x^(iota+pi-1) distinct and x^(iota+pi) = x^iota.
+    """Smallest (iota, pi) with x^0..x^(iota+pi-1) distinct and x^(iota+pi) = x^iota."""
+    k = x.ring.kernel
+    i = x.ring.index(x)
+    return k.iota.item(i), k.period.item(i)
 
-    Found by direct power enumeration (at most q steps) and cached per element.
+
+def reduce_exponents(iota, period, u):
+    """The representative below iota + period with the same power as exponent u.
+
+    Exact on Python ints of any size and elementwise on numpy arrays, so
+    one base and one exponent, or a whole table of them, reduce the same way.
     """
-    ring = x.ring
-    cached = ring._cyc_cache.get(x.coeffs)
-    if cached is not None:
-        return cached
-    powers: list[RingElement] = []
-    seen: dict[tuple[int, ...], int] = {}
-    y = ring.one
-    while y.coeffs not in seen:
-        seen[y.coeffs] = len(powers)
-        powers.append(y)
-        y = y * x
-    iota = seen[y.coeffs]
-    pi = len(powers) - iota
-    ring._cyc_cache[x.coeffs] = (iota, pi)
-    ring._pow_cache[x.coeffs] = tuple(powers)
-    return iota, pi
-
-
-def _power_table(x: RingElement) -> tuple[RingElement, ...]:
-    index_period(x)
-    return x.ring._pow_cache[x.coeffs]
+    return u - (u >= iota) * ((u - iota) // period * period)
 
 
 def reduce_exponent(x: RingElement, u: int) -> int:
     """The unique representative below iota + pi with x^u = x^(result)."""
-    iota, pi = index_period(x)
-    if u < iota + pi:
-        return u
-    return iota + (u - iota) % pi
+    return reduce_exponents(*index_period(x), u)
 
 
 def monoid_add(x: RingElement, u: int, v: int) -> int:
@@ -75,7 +65,7 @@ def monoid_add(x: RingElement, u: int, v: int) -> int:
     iota, pi = index_period(x)
     if not (0 <= u < iota + pi and 0 <= v < iota + pi):
         raise OutOfRange(f"{u}, {v} not both in the cyclic monoid of {x}")
-    return reduce_exponent(x, u + v)
+    return reduce_exponents(iota, pi, u + v)
 
 
 def embed(x: RingElement, q_exp: int, u: int) -> int:
@@ -100,20 +90,21 @@ class CycExponent:
     @staticmethod
     def make(ring: GaloisRing, components: dict[int, int] | Iterable[tuple[int, int]]) -> "CycExponent":
         pairs = dict(components) if not isinstance(components, dict) else components
+        iota, period = ring.kernel.iota, ring.kernel.period
         cleaned = []
         for idx, u in sorted(pairs.items()):
             try:
-                u = int(u)
+                u = exact_int(u)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise OutOfRange(f"component {u!r} at index {idx} is not an integer") from exc
             if u == 0:
                 continue
             if not 0 <= idx < ring.q:
                 raise OutOfRange(f"element index {idx} out of range")
-            iota, pi = index_period(ring.elements[idx])
-            if not 0 < u < iota + pi:
+            bound = iota.item(idx) + period.item(idx)
+            if not 0 < u < bound:
                 raise OutOfRange(
-                    f"component {u} at index {idx} outside [0, iota+pi = {iota + pi})")
+                    f"component {u} at index {idx} outside [0, iota+pi = {bound})")
             cleaned.append((idx, u))
         return CycExponent(ring, tuple(cleaned))
 
@@ -164,23 +155,20 @@ def exp_add(u: CycExponent, v: CycExponent) -> CycExponent:
     """Componentwise cyclic-monoid addition in the cyclicity monoid."""
     if u.ring.key != v.ring.key:
         raise RingMismatch("exponents over different rings")
-    ring = u.ring
-    out: dict[int, int] = {}
-    keys = {i for i, _ in u.items} | {i for i, _ in v.items}
-    for idx in keys:
-        s = monoid_add(ring.elements[idx], u.component(idx), v.component(idx))
-        if s:
-            out[idx] = s
-    return CycExponent.make(ring, out)
+    k = u.ring.kernel
+    out = dict(u.items)
+    for idx, c in v.items:
+        out[idx] = reduce_exponents(k.iota.item(idx), k.period.item(idx), out.get(idx, 0) + c)
+    return CycExponent.make(u.ring, out)
 
 
 def power(x: RingElement, u: CycExponent) -> RingElement:
     """x^u = x^(u_x): the exponent applied is u's component at x itself."""
     if x.ring.key != u.ring.key:
         raise RingMismatch("power of a foreign exponent")
-    ux = u.component(x.ring.index(x))
-    table = _power_table(x)
-    return table[ux] if ux < len(table) else x ** ux
+    ring = x.ring
+    i = ring.index(x)
+    return ring.elements[ring.kernel.powers[i, u.component(i)]]
 
 
 class SpecialExponents(NamedTuple):
@@ -204,5 +192,4 @@ def special_exponents(ring: GaloisRing) -> SpecialExponents:
         s_star = exp_add(s_star, g)
     q_elem = CycExponent.make(
         ring, {idx: 1 for idx in range(ring.q) if idx != one_idx})
-    delta = max(sum(index_period(x)) for x in ring.elements)
-    return SpecialExponents(s, s_star, q_elem, delta)
+    return SpecialExponents(s, s_star, q_elem, ring.kernel.powers.shape[1])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclicity import CycExponent, special_exponents
+from .cyclicity import CycExponent, reduce_exponents, special_exponents
 from .errors import DegreeTooHigh, NoPrimitiveElement, NotField, RingMismatch, Singular
 from .galois import GaloisRing, RingElement, RingKernel
 
@@ -142,12 +142,6 @@ def _indices(ring: GaloisRing, values) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
-def _reduce_exponents(k: RingKernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The representative below iota + pi of each exponent u for its base x."""
-    iota, bound = k.iota[x], k.iota[x] + k.period[x]
-    return np.where(u < bound, u, iota + (u - iota) % k.period[x])
-
-
 def _mat_vec(k: RingKernel, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The field product a . v of index arrays, one column of a at a time."""
     out = np.zeros(len(a), dtype=np.intp)  # index 0 is zero
@@ -159,7 +153,7 @@ def _mat_vec(k: RingKernel, a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _power_indices(ring: GaloisRing) -> np.ndarray:
     k = _kernel(ring)
     x = np.arange(ring.q)[:, None]
-    return k.powers[x, _reduce_exponents(k, x, np.arange(ring.q)[None, :])]
+    return k.powers[x, reduce_exponents(k.iota[x], k.period[x], np.arange(ring.q)[None, :])]
 
 
 def _power_inverse_indices(ring: GaloisRing) -> np.ndarray:

@@ -13,11 +13,16 @@ lexicographic order of their coefficient vectors (constant term first).
 All serialized exponent tuples and matrices in this package refer to
 that order.
 
-Exact paths over many configurations read the ring through its
-:class:`RingKernel`: integer index tables over the canonical order,
-built with numpy on first use and shared by every ring with the same
-key.  Scalar :class:`RingElement` arithmetic stays the API and JSON
-boundary and the reference the tables are tested against.
+Scalar :class:`RingElement` arithmetic is the API and JSON boundary.
+Every derived per-element table (the trace, each element's powers,
+index and period) comes only from the :class:`RingKernel`: integer
+index tables over the canonical order, built with numpy on first use
+and shared by every ring with the same key.  The Frobenius-sum trace
+is kept as the independent cross-check the paper states, and the
+multiplicative order and the primitive-element search run on scalars
+because they are needed at construction, before any kernel exists.
+Rings are capped at q^2 <= EXACT_CAP, so every ring that can be
+constructed has a kernel.
 """
 
 from __future__ import annotations
@@ -46,11 +51,13 @@ __all__ = [
     "make_ring",
     "ring_from_descriptor",
     "ring_to_descriptor",
+    "grid_size",
     "require_exact",
 ]
 
 # Largest integer table an exact path may allocate: q^l phase entries for
-# a state, q^2 for the ring kernel's index tables, and the number of
+# a state, q^2 for the ring kernel's index tables (checked when the ring is
+# constructed, so q <= 2048), and the number of
 # (label, configuration) pairs a pairwise suite walks.  2^22 keeps F2 at
 # l = 20 (about 10^6 configurations) buildable in well under a second.
 EXACT_CAP = 1 << 22
@@ -60,6 +67,26 @@ def require_exact(size: int, what: str) -> None:
     """Raise TooLarge, before anything is allocated, when size exceeds EXACT_CAP."""
     if size > EXACT_CAP:
         raise TooLarge(f"{what} needs {size} entries, above the exact cap of {EXACT_CAP}")
+
+
+def grid_size(q: int, l: int, what: str) -> int:
+    """q^l, the entries of a table over l digits in base q >= 2, checked against EXACT_CAP.
+
+    A grade or ring size read from a document can be arbitrarily large, so
+    an exponent of bit_length(EXACT_CAP) or more is refused before the
+    power is taken.
+    """
+    if l >= EXACT_CAP.bit_length():
+        raise TooLarge(f"{what} needs {q}^{l} entries, above the exact cap of {EXACT_CAP}")
+    require_exact(q ** l, what)
+    return q ** l
+
+
+def exact_int(value) -> int:
+    """int(value), refusing a float with a fractional part instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _is_prime(n: int) -> bool:
@@ -176,16 +203,19 @@ class RingElement:
 class GaloisRing:
     """The ring GR(p^r, d) = Z_{p^r}[x]/(h(x)) with cached element tables.
 
-    Instances are immutable after construction apart from idempotent,
-    internally populated caches; they are safe to share.
+    Instances are immutable after construction apart from the idempotent,
+    lazily populated Teichmueller digit table; they are safe to share.
+    Rings with q^2 above EXACT_CAP are refused before anything is enumerated.
     """
 
     def __init__(self, p: int, r: int, d: int, modulus: tuple[int, ...],
                  find_primitive: bool | None = None):
+        if p < 2 or r < 1 or d < 1:
+            raise BadCoefficient(f"p = {p}, r = {r}, d = {d}: need a prime p and positive r, d")
+        # the kernel's q x q tables, bounded before p is tested or any element listed
+        grid_size(p, 2 * r * d, f"the kernel of GR({p}^{r}, {d})")
         if not _is_prime(p):
             raise BadCoefficient(f"p = {p} is not prime")
-        if r < 1 or d < 1:
-            raise BadCoefficient(f"r = {r}, d = {d} must be positive")
         char = p ** r
         if len(modulus) != d + 1:
             raise NonMonic(
@@ -216,18 +246,6 @@ class GaloisRing:
             self.zero, self.one, *(RingElement(self, c) for c in rest)
         )
         self._index = {e.coeffs: i for i, e in enumerate(self.elements)}
-
-        # theta-power basis (1, theta, ..., theta^(d-1)) used by the trace
-        theta_basis = [self.one]
-        for j in range(1, d):
-            cs = [0] * d
-            cs[j] = 1
-            theta_basis.append(RingElement(self, tuple(cs)))
-        self._theta_basis = tuple(theta_basis)
-
-        # caches populated lazily; population is idempotent
-        self._cyc_cache: dict[tuple[int, ...], tuple[int, int]] = {}
-        self._pow_cache: dict[tuple[int, ...], tuple[RingElement, ...]] = {}
         self._digit_cache: dict[tuple[int, ...], tuple[RingElement, ...]] = {}
 
         self.primitive_theta: RingElement | None = None
@@ -267,16 +285,11 @@ class GaloisRing:
                     prod[k - d + j] = (prod[k - d + j] - c * self.modulus[j]) % m
         return RingElement(self, tuple(prod[:d]))
 
-    # -- trace via the multiplication matrix -----------------------------------
-
     def trace(self, x: RingElement) -> int:
-        """tr(x): matrix trace of multiplication-by-x on the free P-module R."""
+        """tr(x): matrix trace of multiplication-by-x on the free P-module R, from the kernel."""
         if x.ring.key != self.key:
             raise RingMismatch("trace of a foreign element")
-        total = 0
-        for j, basis_el in enumerate(self._theta_basis):
-            total += (x * basis_el).coeffs[j]
-        return total % self.char
+        return int(self.kernel.trace[self.index(x)])
 
     # -- unit / nilpotent classification ---------------------------------------
 
@@ -404,7 +417,6 @@ _MUL_BLOCK = 1 << 18
 
 def _build_kernel(ring: GaloisRing) -> RingKernel:
     q, d, m = ring.q, ring.d, ring.char
-    require_exact(q * q, f"the index tables of {ring}")
     coeffs = np.array([e.coeffs for e in ring.elements], dtype=np.int64)
     radix = m ** np.arange(d, dtype=np.int64)
     lookup = np.empty(q, dtype=np.intp)
@@ -484,9 +496,9 @@ def ring_from_descriptor(desc: dict) -> GaloisRing:
             raise BadDocument(f"ring name must be a string, got {desc['name']!r}")
         return named_ring(desc["name"])
     try:
-        p, r, d = int(desc["p"]), int(desc["r"]), int(desc["d"])
-        modulus = [int(c) for c in desc["modulus"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        p, r, d = exact_int(desc["p"]), exact_int(desc["r"]), exact_int(desc["d"])
+        modulus = [exact_int(c) for c in desc["modulus"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadCoefficient(f"malformed ring descriptor: {desc!r}") from exc
     find = desc.get("find_primitive")
     return make_ring(p, r, d, modulus, find_primitive=find)

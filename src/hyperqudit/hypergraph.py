@@ -11,6 +11,7 @@ into one over [l+m] by shifting the second block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -24,7 +25,7 @@ from .errors import (
     RingMismatch,
     SizeMismatch,
 )
-from .galois import GaloisRing, ring_from_descriptor, ring_to_descriptor
+from .galois import GaloisRing, exact_int, ring_from_descriptor, ring_to_descriptor
 
 __all__ = [
     "Edge",
@@ -177,6 +178,11 @@ def exp_pushforward(f: OrdinalMorphism, edge: Edge, w: ExpFunc, ring: GaloisRing
 class CalibratedHypergraph:
     """A hypergraph over [l] together with a sparse calibration per edge.
 
+    The calibration is given as a mapping edge -> {key: value}, as
+    (edge, key, value) entries, or both; values of equal (edge, key)
+    pairs add mod p^r.  The edges are those of `edges`, the keys of
+    `calib`, and the edges of entries whose values do not cancel.
+
     Canonical form: edges sorted, calibration keys canonicalized, zero
     values dropped and all values reduced mod p^r.  Equality is structural.
     The calibration and each per-edge map are read-only views, since the
@@ -185,27 +191,28 @@ class CalibratedHypergraph:
 
     def __init__(self, ring: GaloisRing, l: int,
                  calib: Mapping[Edge, Mapping[ExpFunc, int]] | None = None,
-                 edges: Iterable[Edge] | None = None):
+                 edges: Iterable[Edge] | None = None,
+                 entries: Iterable[tuple[Edge, ExpFunc, int]] = ()):
         if l < 0:
             raise HyperquditError("vertex count must be nonnegative")
         self.ring = ring
         self.l = l
-        table: dict[Edge, dict[ExpFunc, int]] = {}
-        for e in (edges or ()):
-            table[_normalize_edge(e, l)] = {}
-        for e, entries in (calib or {}).items():
+        calib = calib or {}
+        table = {_normalize_edge(e, l): {} for e in itertools.chain(edges or (), calib)}
+        sums: dict[Edge, dict[ExpFunc, int]] = {}
+        for e, w, value in itertools.chain(
+                ((e, w, v) for e, vs in calib.items() for w, v in vs.items()), entries):
             edge = _normalize_edge(e, l)
-            slot = table.setdefault(edge, {})
-            for w, value in entries.items():
-                if any(v not in edge for v in w.support()):
-                    raise DomainMismatch(f"key {w} not supported on edge {edge}")
-                if any(u.ring.key != ring.key for _, u in w.items):
-                    raise RingMismatch("exponent over a different ring")
-                value = int(value) % ring.char
-                if value:
-                    slot[w] = (slot.get(w, 0) + value) % ring.char
-                    if slot[w] == 0:
-                        del slot[w]
+            if any(v not in edge for v in w.support()):
+                raise DomainMismatch(f"key {w} not supported on edge {edge}")
+            if any(u.ring.key != ring.key for _, u in w.items):
+                raise RingMismatch("exponent over a different ring")
+            slot = sums.setdefault(edge, {})
+            slot[w] = (slot.get(w, 0) + int(value)) % ring.char
+        for edge, slot in sums.items():
+            nonzero = {w: v for w, v in slot.items() if v}
+            if nonzero:
+                table.setdefault(edge, {}).update(nonzero)
         self.calib: Mapping[Edge, Mapping[ExpFunc, int]] = MappingProxyType({
             e: MappingProxyType(dict(sorted(vs.items(), key=lambda kv: kv[0].sort_key())))
             for e, vs in sorted(table.items())
@@ -307,34 +314,24 @@ class MarkedHypergraph:
 
 # -- morphism action and monadic product ---------------------------------------
 
-def calib_pushforward(f: OrdinalMorphism, hg: CalibratedHypergraph) -> dict[Edge, dict[ExpFunc, int]]:
+def calib_pushforward(f: OrdinalMorphism, hg: CalibratedHypergraph) -> dict[Edge, Mapping[ExpFunc, int]]:
     """Push the whole calibration forward along f.
 
     Values of colliding (image edge, pushed key) pairs add mod p^r; only
     keys arising as pushforwards of stored keys appear.
     """
-    ring = hg.ring
-    out: dict[Edge, dict[ExpFunc, int]] = {}
-    for edge in hg.edges:
-        out.setdefault(f.image_edge(edge), {})
-    for edge, w, val in hg.stored_entries():
-        image = f.image_edge(edge)
-        key = exp_pushforward(f, edge, w, ring)
-        slot = out[image]
-        newval = (slot.get(key, 0) + val) % ring.char
-        if newval:
-            slot[key] = newval
-        elif key in slot:
-            del slot[key]
-    return out
+    return dict(apply_morphism(f, hg).calib)
 
 
 def apply_morphism(f: OrdinalMorphism, hg: CalibratedHypergraph) -> CalibratedHypergraph:
     """The functorial action: image hypergraph with pushed-forward calibration."""
     if f.source_size != hg.l:
         raise SizeMismatch(f"morphism source {f.source_size} != hypergraph grade {hg.l}")
-    pushed = calib_pushforward(f, hg)
-    return CalibratedHypergraph(hg.ring, f.target_size, pushed, edges=pushed.keys())
+    ring = hg.ring
+    return CalibratedHypergraph(
+        ring, f.target_size, edges=[f.image_edge(e) for e in hg.edges],
+        entries=((f.image_edge(e), exp_pushforward(f, e, w, ring), val)
+                 for e, w, val in hg.stored_entries()))
 
 
 def monadic_product(a: CalibratedHypergraph, b: CalibratedHypergraph) -> CalibratedHypergraph:
@@ -390,7 +387,7 @@ def _field(doc, key: str, what: str, default=_REQUIRED):
 
 def _int(value, what: str) -> int:
     try:
-        return int(value)
+        return exact_int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadDocument(f"{what} must be an integer, got {value!r}") from exc
 
@@ -419,12 +416,11 @@ def hypergraph_from_json(doc: dict, kind: str = "calibrated"):
     l = _int(_field(doc, "l", "a hypergraph document"), "l")
     edges = _list(doc.get("edges", []), "edges")
     if kind == "calibrated":
-        calib: dict[Edge, dict[ExpFunc, int]] = {}
         plain: list[Edge] = []
+        entries = []
         for entry in edges:
             edge = _vertices(entry)
             plain.append(edge)
-            slot: dict[ExpFunc, int] = {}
             for item in _list(entry.get("calibration", []), "calibration"):
                 w = ExpFunc.make({
                     _int(v, "a key vertex"): CycExponent.from_dense(
@@ -432,9 +428,8 @@ def hypergraph_from_json(doc: dict, kind: str = "calibrated"):
                     for v, dense in _object(_field(item, "w", "a calibration entry"), "w").items()
                 })
                 value = _int(_field(item, "value", "a calibration entry"), "a calibration value")
-                slot[w] = (slot.get(w, 0) + value) % ring.char
-            calib[edge] = slot
-        return CalibratedHypergraph(ring, l, calib, edges=plain)
+                entries.append((edge, w, value))
+        return CalibratedHypergraph(ring, l, edges=plain, entries=entries)
     if kind == "weighted":
         return WeightedHypergraph.make(ring, l, {
             _vertices(e): _int(_field(e, "weight", "a weighted edge", 0), "a weight")

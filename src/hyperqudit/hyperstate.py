@@ -24,12 +24,13 @@ import numpy as np
 
 from .cyclicity import power
 from .errors import GradeMismatch, TooLarge, WrongBasis
-from .galois import require_exact
+from .galois import grid_size
 from .hypergraph import CalibratedHypergraph, OrdinalMorphism, apply_morphism
 from .states import (
     COMPUTATIONAL,
     Configuration,
     FlatState,
+    all_configurations,
     apply_he_morphism,
     apply_pauli_z,
     cyclotomic_residues,
@@ -82,7 +83,7 @@ def phase_table(hg: CalibratedHypergraph) -> tuple[int, ...]:
     cached = getattr(hg, "_phase_table_cache", None)
     if cached is None:
         ring, l = hg.ring, hg.l
-        require_exact(ring.q ** l, "the phase table")
+        grid_size(ring.q, l, "the phase table")
         k = ring.kernel
         total = np.zeros((ring.q,) * l, dtype=np.int64)
         for _, w, val in hg.stored_entries():
@@ -187,7 +188,7 @@ def check_stabilizer_pushforward(hg: CalibratedHypergraph, f: OrdinalMorphism,
     """
     ring = hg.ring
     l, m = f.source_size, f.target_size
-    if ring.q ** max(l, m) > dense_cap():
+    if grid_size(ring.q, max(l, m), "the stabilizer pushforward check") > dense_cap():
         raise TooLarge("stabilizer pushforward check exceeds the dense cap")
     image = apply_morphism(f, hg)
     hf = dense_he_matrix(f, ring)
@@ -219,8 +220,8 @@ def lme_orthonormal(hg: CalibratedHypergraph) -> bool:
     diagonal (norm exactly 1) and a vanishing root-of-unity sum elsewhere.
     """
     ring = hg.ring
+    grid_size(ring.q, 2 * hg.l, "the pairwise orthonormality check")
     n, m = ring.q ** hg.l, ring.char
-    require_exact(n * n, "the pairwise orthonormality check")
     translates = (pairing_matrix(ring, hg.l) + _sigma(hg)[None, :]) % m
     rows = max(1, _PAIR_BLOCK // (n * n))
     for start in range(0, n, rows):
@@ -264,12 +265,17 @@ def lme_check(hg: CalibratedHypergraph, tol: float = 1e-9) -> bool:
 
 
 def stabilizer_fixes_state(hg: CalibratedHypergraph) -> tuple[int, int]:
-    """Count how many stabilizer operators leave the hypergraph state invariant."""
+    """Count how many stabilizer operators leave the hypergraph state invariant.
+
+    The state checked is built from the definition, `phase_function` at
+    every configuration, while the operators use the phase table; so a
+    table that differs from sigma by more than a constant fails labels.
+    """
     ring, l = hg.ring, hg.l
-    require_exact(ring.q ** (2 * l), "the stabilizer suite")
+    grid_size(ring.q, 2 * l, "the stabilizer suite")
     # stabilizer_apply for every label, with sigma and psi converted once
     sigma = _sigma(hg)
-    psi = phase_array(build_state(hg))
+    psi = np.array([phase_function(hg, x) for x in all_configurations(ring, l)], dtype=np.int64)
     unshifted = psi - sigma
     good = 0
     for a_idx in itertools.product(range(ring.q), repeat=l):

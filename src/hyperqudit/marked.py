@@ -100,11 +100,8 @@ def marked_to_calibrated(mhg: MarkedHypergraph,
     _, cinv = basic_power_matrix(ring)
     star_col = ring.index(x_star)
 
-    calib: dict[Edge, dict[ExpFunc, int]] = {}
-    plain: list[Edge] = []
+    entries = []
     for edge, target in mhg.marks:
-        plain.append(edge)
-        slot = calib.setdefault(edge, {})
         controls = [r for r in edge if r != target]
         for pick in itertools.product(range(ring.q), repeat=len(controls)):
             value = ring.one
@@ -115,10 +112,5 @@ def marked_to_calibrated(mhg: MarkedHypergraph,
             assignment = {target: special.s_star}
             for r, y_idx in zip(controls, pick):
                 assignment[r] = special.s[y_idx]
-            key = ExpFunc.make(assignment)
-            newval = (slot.get(key, 0) + value.coeffs[0]) % ring.char
-            if newval:
-                slot[key] = newval
-            else:
-                slot.pop(key, None)
-    return CalibratedHypergraph(ring, mhg.l, calib, edges=plain)
+            entries.append((edge, ExpFunc.make(assignment), value.coeffs[0]))
+    return CalibratedHypergraph(ring, mhg.l, edges=mhg.edges, entries=entries)

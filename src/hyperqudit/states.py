@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSetting, BasisMismatch, GradeMismatch, RingMismatch, TooLarge, WrongBasis
-from .galois import GaloisRing, RingElement, require_exact
+from .galois import GaloisRing, RingElement, grid_size, require_exact
 from .hypergraph import OrdinalMorphism
 
 __all__ = [
@@ -200,8 +200,7 @@ class FlatState:
     def zero_ket(ring: GaloisRing, l: int) -> "FlatState":
         """The zero-configuration Hadamard ket: uniform phases over the
         computational table, the seed the hypergraph operator acts on."""
-        require_exact(ring.q ** l, "the zero ket")
-        return FlatState(ring, l, COMPUTATIONAL, -l, (0,) * ring.q ** l)
+        return FlatState(ring, l, COMPUTATIONAL, -l, (0,) * grid_size(ring.q, l, "the zero ket"))
 
     def phase_at(self, x: Configuration) -> int:
         return self.phases[config_index(self.ring, x)]
@@ -320,7 +319,7 @@ def apply_he_morphism(f: OrdinalMorphism, psi: FlatState) -> FlatState:
     if f.source_size != psi.l:
         raise GradeMismatch("morphism source does not match the state grade")
     ring = psi.ring
-    require_exact(ring.q ** f.target_size, "the transported state")
+    grid_size(ring.q, f.target_size, "the transported state")
     return FlatState(ring, f.target_size, COMPUTATIONAL,
                      psi.norm_exp + (psi.l - f.target_size),
                      _reduced(pullback_table(phase_array(psi), ring, f), ring.char))

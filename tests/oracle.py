@@ -2,7 +2,10 @@
 
 These are the per-configuration loops over ring elements that the
 package's numpy paths replace: each walks configurations one at a time
-with `RingElement` arithmetic, `trace_pairing` and `config_index`.  The
+with `RingElement` arithmetic and `config_index`.  The per-element data
+the package reads from its ring kernel (index and period, generalized
+powers, the trace) is recomputed here from scalar multiplication alone,
+so that nothing below is checked against the kernel itself.  The
 field-polynomial matrices at the end are the same kind of loop over
 matrix entries.  They are slow and kept only as the oracle the fast
 paths are compared with.
@@ -18,14 +21,60 @@ from hyperqudit import (
     all_configurations,
     config_index,
     ef_transpose,
-    phase_function,
-    power,
     special_exponents,
-    trace_pairing,
 )
 from hyperqudit.errors import Singular
 from hyperqudit.states import config_add, config_sub
 
+
+# -- per-element data by scalar arithmetic ------------------------------------------------
+
+def index_period(x):
+    """(iota, pi) by enumerating x^0, x^1, ... until a power repeats."""
+    seen = {}
+    y = x.ring.one
+    while y.coeffs not in seen:
+        seen[y.coeffs] = len(seen)
+        y = y * x
+    iota = seen[y.coeffs]
+    return iota, len(seen) - iota
+
+
+def power(x, u):
+    """x^u: x raised to u's component at x, by repeated multiplication."""
+    return x ** u.component(x.ring.index(x))
+
+
+def trace(x):
+    """Matrix trace of multiplication by x in the basis 1, theta, ..., theta^(d-1)."""
+    ring = x.ring
+    total = 0
+    for j in range(ring.d):
+        basis = ring.element([int(i == j) for i in range(ring.d)])
+        total += (x * basis).coeffs[j]
+    return total % ring.char
+
+
+def trace_pairing(x, y):
+    """<x, y> = sum_r tr(x_r y_r); zero for empty configurations."""
+    if not x:
+        return 0
+    return sum(trace(a * b) for a, b in zip(x, y)) % x[0].ring.char
+
+
+def phase_function(hg, x):
+    """sigma(x): sum over stored entries of value * tr(prod of generalized powers)."""
+    ring = hg.ring
+    total = 0
+    for edge, w, val in hg.stored_entries():
+        prod = ring.one
+        for r in edge:
+            prod = prod * power(x[r], w.value(r, ring))
+        total += val * trace(prod)
+    return total % ring.char
+
+
+# -- configuration loops ------------------------------------------------------------------
 
 def phase_table(hg):
     return tuple(phase_function(hg, x) for x in all_configurations(hg.ring, hg.l))

@@ -260,6 +260,17 @@ class TestExitCodes:
         ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, 1], "calibration": [
             {"w": {"0": ["a", 0, 0]}, "value": 1}]}]}, "component 'a' at index 0"),
         ({"ring": {"name": "F3"}, "l": 2, "edges": [{"calibration": []}]}, "no 'vertices' field"),
+        ({"ring": {"name": "F3"}, "l": 3.9, "edges": []}, "l must be an integer, got 3.9"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, 1.5]}]},
+         "a vertex must be an integer"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, 1], "calibration": [
+            {"w": {"0": [0, 0, 1]}, "value": 1.7}]}]}, "a calibration value must be an integer"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, 1], "calibration": [
+            {"w": {"0": [0, 0, 1.5]}, "value": 1}]}]}, "component 1.5 at index 2"),
+        ({"ring": {"p": 3.5, "r": 1, "d": 1, "modulus": [0, 1]}, "l": 1},
+         "malformed ring descriptor"),
+        ({"ring": {"p": 3, "r": 1, "d": 1, "modulus": [0, 1.25]}, "l": 1},
+         "malformed ring descriptor"),
     ])
     def test_malformed_document_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
@@ -269,6 +280,45 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_integral_floats_and_digit_keys_still_parse(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "qutrit_c.json").read_text())
+        _, want, _ = run(capsys, "state", "build", str(FIXTURES / "qutrit_c.json"))
+        doc["l"] = 3.0
+        doc["edges"][0]["calibration"][0]["value"] = 1.0
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "state", "build", str(path)) == (0, want, "")
+
+    @pytest.mark.parametrize("desc", [
+        {"p": 2, "r": 7, "d": 2, "modulus": [1, 1, 1]},
+        {"p": 2, "r": 10 ** 30, "d": 2, "modulus": [1, 1, 1]},
+        {"p": 10 ** 30 + 57, "r": 1, "d": 1, "modulus": [0, 1]},
+    ], ids=["q=16384", "huge-r", "31-digit-p"])
+    @pytest.mark.parametrize("command", ["ring info", "matrices"])
+    def test_oversized_ring_exits_one_at_once(self, capsys, tmp_path, desc, command):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(desc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command.split(), str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "exact cap" in err
+
+    def test_huge_grade_exits_one_at_once(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "qutrit_b.json").read_text())
+        doc["l"] = 10 ** 30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        for suite in ("--stabilizer", "--covariance", "--lme", "--pushforward"):
+            for argv in (["state", "build"], ["state", "verify", suite]):
+                start = time.perf_counter()
+                code, out, err = run(capsys, *argv, str(path))
+                assert time.perf_counter() - start < 1.0
+                assert code == 1
+                assert out == ""
+                assert err.startswith("error: ") and "exact cap" in err
 
     @pytest.mark.parametrize("x_star", ["3", "7", "-2"])
     def test_xstar_out_of_range_exits_one(self, capsys, x_star):
@@ -296,6 +346,23 @@ class TestExitCodes:
                            "--covariance")
         assert code == 2
         assert "(FAIL)" in out
+
+    def test_corrupted_phase_table_fails_stabilizer_suite(self, capsys, monkeypatch):
+        import hyperqudit.cli as cli
+        from hyperqudit import phase_table
+
+        def corrupted(doc, kind):
+            hg = hypergraph_from_json(doc, kind)
+            table = list(phase_table(hg))
+            table[5] = (table[5] + 1) % hg.ring.char
+            hg._phase_table_cache = tuple(table)
+            return hg
+
+        monkeypatch.setattr(cli, "hypergraph_from_json", corrupted)
+        code, out, _ = run(capsys, "state", "verify", str(FIXTURES / "qutrit_e.json"),
+                           "--stabilizer")
+        assert code == 2
+        assert out.strip() == "1/27 stabilizer checks passed (FAIL)"
 
     def test_json_failure_verdict(self, capsys, monkeypatch):
         import hyperqudit.cli as cli

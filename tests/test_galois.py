@@ -11,7 +11,9 @@ from hyperqudit.errors import (
     NonMonic,
     ReducibleModulus,
     RingMismatch,
+    TooLarge,
 )
+from hyperqudit.galois import EXACT_CAP
 
 SMALL_RINGS = ["F2", "F3", "F4", "F5", "Z4", "Z8", "Z9", "F8", "F9", "GR(4,2)", "GR(4,3)"]
 
@@ -64,6 +66,17 @@ class TestConstruction:
     def test_out_of_range_coefficient_rejected(self):
         with pytest.raises(BadCoefficient):
             make_ring(2, 1, 2, [3, 1, 1])
+
+    @pytest.mark.parametrize("p, r, d", [
+        (2, 1, 12), (2, 7, 2), (2053, 1, 1), (2, 10 ** 30, 2), (10 ** 30 + 57, 1, 1)])
+    def test_rings_above_the_cap_refused_before_enumeration(self, p, r, d):
+        # checked before the modulus, the primality of p and q = p^(rd)
+        with pytest.raises(TooLarge):
+            make_ring(p, r, d, [0] * d + [1])
+
+    def test_largest_ring_under_the_cap_constructs(self):
+        ring = make_ring(2, 11, 1, [0, 1])
+        assert ring.q == 2048 and ring.q ** 2 == EXACT_CAP
 
     def test_element_order_starts_zero_one_and_is_complete(self):
         for name in SMALL_RINGS:

@@ -33,7 +33,7 @@ from hyperqudit import (
     trace_pairing,
 )
 from hyperqudit.errors import GradeMismatch, WrongBasis
-from hyperqudit.hyperstate import dense_stabilizer_matrix
+from hyperqudit.hyperstate import dense_stabilizer_matrix, stabilizer_fixes_state
 from hyperqudit.states import to_dense
 from tests.test_hypergraph import random_calibrated
 
@@ -154,6 +154,16 @@ class TestStabilizers:
             b = tuple(rng.choice(f3.elements) for _ in range(3))
             ab = tuple(u + v for u, v in zip(a, b))
             assert stabilizer_apply(hg, a, stabilizer_apply(hg, b, psi)) == stabilizer_apply(hg, ab, psi)
+
+    def test_suite_fails_on_a_corrupted_phase_table(self):
+        # the suite checks the state built from phase_function, so a wrong
+        # cached table makes every nonzero label fail
+        hg = qutrit_hypergraph("e")
+        assert stabilizer_fixes_state(hg) == (27, 27)
+        table = list(phase_table(hg))
+        table[5] = (table[5] + 1) % 3
+        hg._phase_table_cache = tuple(table)
+        assert stabilizer_fixes_state(hg) == (1, 27)
 
     def test_pairwise_distinct_on_spanning_set(self, f2):
         # the Hadamard kets expanded as computational flat tables span;

@@ -1,9 +1,10 @@
 """The integer ring kernel and the table paths, against the scalar reference.
 
 Every catalog ring is covered.  Kernel tables are compared entry by entry
-with `RingElement` arithmetic; phase tables with `phase_function` at every
-configuration; operators, exact inner products and dense builders with
-the per-configuration loops kept in `tests/oracle.py`.
+with `RingElement` arithmetic and the scalar index/period, power and trace
+of `tests/oracle.py`; phase tables with the oracle's phase function at
+every configuration; operators, exact inner products and dense builders
+with the per-configuration loops kept in the same module.
 """
 
 import itertools
@@ -104,8 +105,8 @@ def test_kernel_tables_match_scalar_arithmetic(name):
     els = ring.elements
     for i, x in enumerate(els):
         assert k.neg[i] == ring.index(-x)
-        assert k.trace[i] == ring.trace(x)
-        iota, pi = index_period(x)
+        assert k.trace[i] == oracle.trace(x)
+        iota, pi = oracle.index_period(x)
         assert (k.iota[i], k.period[i]) == (iota, pi)
         assert [k.powers[i, u] for u in range(iota + pi)] == [
             ring.index(x ** u) for u in range(iota + pi)]
@@ -183,9 +184,10 @@ def test_paulis_and_stabilizers_match_oracle(name, data):
 def test_stabilizer_suite_matches_per_label_loop(name, data):
     """The suite's count equals stabilizer_apply(hg, a, psi) == psi over every label a.
 
-    build_state is replaced by sigma plus an offset table, so that labels
-    fail as well: the offset is random, or depends on a subset of the
-    vertices only, in which case labels zero on that subset still pass.
+    The state the suite builds from phase_function is replaced by sigma
+    plus an offset table, so that labels fail as well: the offset is
+    random, or depends on a subset of the vertices only, in which case
+    labels zero on that subset still pass.
     """
     ring = named_ring(name)
     l = data.draw(st.integers(0, max_grade(ring, 64)))
@@ -196,7 +198,7 @@ def test_stabilizer_suite_matches_per_label_loop(name, data):
         offset = np.take(offset, [0] * ring.q, axis=v)  # constant along vertex v
     psi = build_state(hg).with_phases((sigma + offset).reshape(-1))
     monkeypatch = pytest.MonkeyPatch()
-    monkeypatch.setattr(hyperstate, "build_state", lambda graph: psi)
+    monkeypatch.setattr(hyperstate, "phase_function", lambda graph, x: psi.phase_at(x))
     try:
         counts = hyperstate.stabilizer_fixes_state(hg)
     finally:
