@@ -4,7 +4,8 @@ Different calibrations can encode the same state.  Regrouping every
 calibration entry onto the support of its key (effectivization) and
 stripping unused vertices (the primitive core) yield canonical
 representatives, on which vertex-permutation congruence is decided by
-brute force.
+a backtracking search that maps each vertex only to vertices of the same
+invariant colour and checks every edge as soon as it is fully placed.
 """
 
 from hyperqudit import (

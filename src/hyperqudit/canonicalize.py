@@ -6,8 +6,11 @@ phase; the result carries no zero calibrations and no off-support keys
 and encodes the same state up to a global phase.  The primitive core
 strips unused vertices along the unique increasing injection onto the
 support.  Congruence (equality up to a vertex permutation) and isotropy
-groups are decided by brute force over the symmetric group, which at
-desk scale (l <= 6) is exact and fast.
+groups come from one backtracking search over vertex permutations in
+lexicographic order: each vertex may only go to a vertex of the same
+permutation-invariant colour, and every edge is checked as soon as all of
+its vertices are placed, so the search never builds an image hypergraph.
+Both are capped at l <= 6, since an isotropy group can hold l! elements.
 
 The conversions realize scalar weightings, polynomial phase data and,
 over F_2, the converse reduction of calibrations to weightings.
@@ -15,7 +18,6 @@ over F_2, the converse reduction of calibrations to weightings.
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping
 
 import numpy as np
@@ -34,7 +36,6 @@ from .hypergraph import (
     ExpFunc,
     OrdinalMorphism,
     WeightedHypergraph,
-    apply_morphism,
 )
 
 __all__ = [
@@ -110,9 +111,72 @@ def primitive_core(hg: CalibratedHypergraph) -> tuple[OrdinalMorphism, Calibrate
     return chart, core
 
 
-def _permutations(l: int):
-    for values in itertools.permutations(range(l)):
-        yield OrdinalMorphism(l, l, values)
+def _encode(hg: CalibratedHypergraph) -> dict[Edge, frozenset]:
+    """Edge -> frozenset of (key items, value), a key's items being (vertex, exponent items)."""
+    return {e: frozenset((tuple((v, u.items) for v, u in w.items), val)
+                         for w, val in entries.items())
+            for e, entries in hg.calib.items()}
+
+
+def _colours(l: int, code: dict[Edge, frozenset]) -> list[tuple]:
+    """Per vertex, the sorted (edge size, entries seen from the vertex) over its edges.
+
+    An entry seen from v is (value, exponent at v, sorted exponents at the
+    other vertices); no vertex label enters, so a permutation carrying one
+    hypergraph to another carries each vertex to one of equal colour.
+    """
+    seen: list[list] = [[] for _ in range(l)]
+    for e, entries in code.items():
+        for v in e:
+            view = sorted(
+                (val, dict(key).get(v, ()), tuple(sorted(u for r, u in key if r != v)))
+                for key, val in entries)
+            seen[v].append((len(e), tuple(view)))
+    return [tuple(sorted(s)) for s in seen]
+
+
+def _carriers(a: CalibratedHypergraph, b: CalibratedHypergraph):
+    """Yield the value tuples of the vertex permutations carrying a to b, in lexicographic order.
+
+    f(0), f(1), ... are assigned in turn, each to an unused vertex of b of
+    the same colour in increasing order; after f(i) is set, every edge of a
+    whose largest vertex is i must map onto an edge of b with the relabelled
+    calibration.  Only branches holding no solution are cut, so the order is
+    that of the full enumeration.
+    """
+    code_a, code_b = _encode(a), _encode(b)
+    if len(code_a) != len(code_b):
+        return
+    l = a.l
+    colour_a, colour_b = _colours(l, code_a), _colours(l, code_b)
+    if sorted(colour_a) != sorted(colour_b):
+        return
+    candidates = [[t for t in range(l) if colour_b[t] == c] for c in colour_a]
+    closing: list[list] = [[] for _ in range(l)]  # edges of a by their largest vertex
+    for e, entries in code_a.items():
+        closing[e[-1]].append((e, entries))
+    f = [0] * l
+    used = [False] * l
+
+    def carried(e: Edge, entries: frozenset) -> bool:
+        image = code_b.get(tuple(sorted(f[v] for v in e)))
+        return image is not None and image == frozenset(
+            (tuple(sorted((f[v], u) for v, u in key)), val) for key, val in entries)
+
+    def extend(i: int):
+        if i == l:
+            yield tuple(f)
+            return
+        for t in candidates[i]:
+            if used[t]:
+                continue
+            f[i] = t
+            if all(carried(e, entries) for e, entries in closing[i]):
+                used[t] = True
+                yield from extend(i + 1)
+                used[t] = False
+
+    yield from extend(0)
 
 
 def congruent(a: CalibratedHypergraph, b: CalibratedHypergraph) -> OrdinalMorphism | None:
@@ -121,17 +185,15 @@ def congruent(a: CalibratedHypergraph, b: CalibratedHypergraph) -> OrdinalMorphi
         return None
     if a.l > _CONGRUENCE_MAX_L:
         raise TooLarge(f"congruence search capped at l <= {_CONGRUENCE_MAX_L}")
-    for f in _permutations(a.l):
-        if apply_morphism(f, a) == b:
-            return f
-    return None
+    values = next(_carriers(a, b), None)
+    return None if values is None else OrdinalMorphism(a.l, a.l, values)
 
 
 def isotropy_group(hg: CalibratedHypergraph) -> list[OrdinalMorphism]:
-    """All vertex permutations fixing the calibrated hypergraph."""
+    """All vertex permutations fixing the calibrated hypergraph, in lexicographic order."""
     if hg.l > _CONGRUENCE_MAX_L:
         raise TooLarge(f"isotropy search capped at l <= {_CONGRUENCE_MAX_L}")
-    return [f for f in _permutations(hg.l) if apply_morphism(f, hg) == hg]
+    return [OrdinalMorphism(hg.l, hg.l, values) for values in _carriers(hg, hg)]
 
 
 # -- conversions -----------------------------------------------------------------

@@ -111,17 +111,19 @@ def cmd_state_build(args) -> int:
 
 
 def _verify_morphisms(l: int) -> list[OrdinalMorphism]:
-    """A deterministic set of ordinal functions out of [l] for covariance suites."""
+    """A deterministic set of distinct ordinal functions out of [l] for covariance suites.
+
+    Every function into [m] while m^l <= 200, then the identity once if some
+    grade m was too large to enumerate (or none was enumerated).
+    """
     import itertools
 
-    out = []
-    for m in range(1, l + 1):
-        if m ** l <= 200:
-            out.extend(OrdinalMorphism(l, m, v)
-                       for v in itertools.product(range(m), repeat=l))
-        else:
-            out.append(OrdinalMorphism.identity(l))
-    return out or [OrdinalMorphism.identity(l)]
+    small = [m for m in range(1, l + 1) if m ** l <= 200]
+    out = [OrdinalMorphism(l, m, v)
+           for m in small for v in itertools.product(range(m), repeat=l)]
+    if len(small) < l or not out:
+        out.append(OrdinalMorphism.identity(l))
+    return out
 
 
 def cmd_state_verify(args) -> int:

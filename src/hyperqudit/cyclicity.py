@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import OutOfRange, RingMismatch
 from .galois import GaloisRing, RingElement, exact_int
 
@@ -183,13 +185,13 @@ class SpecialExponents(NamedTuple):
 def special_exponents(ring: GaloisRing) -> SpecialExponents:
     """The generating exponents s(y), the identity-acting exponents, and delta."""
     one_idx = ring.index(ring.one)
-    gens = []
-    for idx in range(ring.q):
-        gens.append(CycExponent.make(ring, {} if idx == one_idx else {idx: 1}))
-    s = tuple(gens)
-    s_star = CycExponent.zero(ring)
-    for g in s:
-        s_star = exp_add(s_star, g)
+    k = ring.kernel
+    s = tuple(CycExponent.make(ring, {} if idx == one_idx else {idx: 1})
+              for idx in range(ring.q))
+    total = np.ones(ring.q, dtype=np.int64)  # the components of all s(y) added up
+    total[one_idx] = 0
+    s_star = CycExponent.make(
+        ring, dict(enumerate(reduce_exponents(k.iota, k.period, total).tolist())))
     q_elem = CycExponent.make(
         ring, {idx: 1 for idx in range(ring.q) if idx != one_idx})
-    return SpecialExponents(s, s_star, q_elem, ring.kernel.powers.shape[1])
+    return SpecialExponents(s, s_star, q_elem, k.powers.shape[1])

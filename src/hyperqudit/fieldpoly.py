@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclicity import CycExponent, reduce_exponents, special_exponents
+from .cyclicity import CycExponent, reduce_exponents
 from .errors import DegreeTooHigh, NoPrimitiveElement, NotField, RingMismatch, Singular
 from .galois import GaloisRing, RingElement, RingKernel
 
@@ -204,9 +204,11 @@ def _field_inverse(k: RingKernel, x: int) -> int:
 
 
 def _basic_indices(ring: GaloisRing) -> np.ndarray:
-    k = _kernel(ring)
-    special = special_exponents(ring)
-    return np.stack([k.power_values(s.items) for s in special.s], axis=1)
+    """C[x][y] = x^s(y): s(y) is 1 at y alone (zero for y = 1), so x on the diagonal, else 1."""
+    _require_field(ring)
+    c = np.full((ring.q, ring.q), ring.index(ring.one), dtype=np.intp)
+    np.fill_diagonal(c, np.arange(ring.q))
+    return c
 
 
 # -- public matrices and polynomials -----------------------------------------------

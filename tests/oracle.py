@@ -7,9 +7,12 @@ the package reads from its ring kernel (index and period, generalized
 powers, the trace) is recomputed here from scalar multiplication alone,
 so that nothing below is checked against the kernel itself.  The
 field-polynomial matrices at the end are the same kind of loop over
-matrix entries.  They are slow and kept only as the oracle the fast
-paths are compared with.
+matrix entries, and congruence and isotropy at the very end try every
+vertex permutation through the functorial action.  They are slow and
+kept only as the oracle the fast paths are compared with.
 """
+
+import itertools
 
 import numpy as np
 
@@ -18,7 +21,9 @@ from hyperqudit import (
     HADAMARD,
     FieldPolynomial,
     FlatState,
+    OrdinalMorphism,
     all_configurations,
+    apply_morphism,
     config_index,
     ef_transpose,
     special_exponents,
@@ -325,3 +330,25 @@ def expand_in_basic(f, a=None, cinv=None):
             acc = acc + cinv[y][z] * values[z]
         out.append(acc)
     return tuple(out)
+
+
+# -- congruence by brute force over the symmetric group ------------------------------------
+
+def _permutations(l):
+    for values in itertools.permutations(range(l)):
+        yield OrdinalMorphism(l, l, values)
+
+
+def congruent(a, b):
+    """The lexicographically least permutation f with f(a) == b, or None."""
+    if a.l != b.l or a.ring.key != b.ring.key:
+        return None
+    for f in _permutations(a.l):
+        if apply_morphism(f, a) == b:
+            return f
+    return None
+
+
+def isotropy_group(hg):
+    """Every permutation f with f(hg) == hg, in lexicographic order."""
+    return [f for f in _permutations(hg.l) if apply_morphism(f, hg) == hg]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hyperqudit import (
+    OrdinalMorphism,
     build_state,
     hypergraph_from_json,
     hypergraph_to_json,
@@ -82,6 +83,25 @@ class TestStateVerify:
                            str(FIXTURES / "bell_10.json"), "--lme")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("l", range(1, 8))
+    def test_covariance_morphisms_are_distinct(self, l):
+        from hyperqudit.cli import _verify_morphisms
+
+        morphs = _verify_morphisms(l)
+        assert len(set(morphs)) == len(morphs)
+        assert morphs.count(OrdinalMorphism.identity(l)) == 1
+
+    def test_covariance_counts_distinct_checks(self, capsys, tmp_path):
+        doc = {"ring": {"name": "F2"}, "l": 5, "edges": [
+            {"vertices": [0, 1, 2], "calibration": [{"w": {"0": [1, 0], "2": [1, 0]},
+                                                     "value": 1}]},
+            {"vertices": [3, 4]}]}
+        path = tmp_path / "l5.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "state", "verify", str(path), "--covariance")
+        assert code == 0
+        assert out.strip() == "34/34 covariance checks passed"
 
 
 class TestReduce:

@@ -257,6 +257,14 @@ class TestSpecialExponents:
                 assert power(x, special.s_star) == x
                 assert power(x, special.q_elem) == x
 
+    def test_s_star_is_the_sum_of_the_generators(self):
+        for name in LAW_RINGS:
+            special = special_exponents(named_ring(name))
+            total = special.s[0]
+            for g in special.s[1:]:
+                total = exp_add(total, g)
+            assert special.s_star == total
+
     def test_generator_at_one_is_zero(self, f2):
         special = special_exponents(f2)
         assert special.s[f2.index(f2.one)].is_zero()
