@@ -42,7 +42,7 @@ def main():
     merged = apply_morphism(collapse, hg)
     print("the collapsed hypergraph lives on one vertex with edges", merged.edges)
     print("and transported state phases",
-          apply_he_morphism(collapse, build_state(hg)).phases)
+          tuple(apply_he_morphism(collapse, build_state(hg)).phases.tolist()))
 
 
 if __name__ == "__main__":

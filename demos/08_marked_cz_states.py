@@ -43,7 +43,7 @@ def main():
         print(f"   {lab}: conversion exact {same_state}, matches catalog {same_catalog}")
 
     print("\n== but no weighting reproduces the triple-edge state ==")
-    target = phase_table(qutrit_hypergraph("a"))
+    target = phase_table(qutrit_hypergraph("a")).tolist()
     edges = [e for k in (1, 2, 3) for e in itertools.combinations(range(3), k)]
     found = False
     for weights in itertools.product(range(3), repeat=len(edges)):
@@ -56,7 +56,7 @@ def main():
                     prod *= x[r].coeffs[0]
                 total += alpha * prod
             table.append(total % 3)
-        if tuple(table) == target:
+        if table == target:
             found = True
             break
     print("   weighting found over all", 3 ** len(edges), "candidates:", found)

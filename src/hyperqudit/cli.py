@@ -9,6 +9,7 @@ byte-for-byte for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -102,7 +103,7 @@ def cmd_state_build(args) -> int:
     if args.json:
         doc = {
             "basis": psi.basis, "l": psi.l, "norm_exp": psi.norm_exp,
-            "char": psi.ring.char, "phases": list(psi.phases),
+            "char": psi.ring.char, "phases": psi.phases.tolist(),
         }
         _print(doc, True)
     else:
@@ -288,7 +289,13 @@ def cmd_matrices(args) -> int:
 
 # -- driver ------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never modifies it.
+
+    Each subcommand names its handler, which `main` looks up in this module
+    on every call, so a handler rebound after the parser was built still runs.
+    """
     parser = argparse.ArgumentParser(
         prog="hyperqudit",
         description="Exact calibrated hypergraph states of Galois-ring qudits.")
@@ -299,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     ring_sub = ring.add_subparsers(dest="ring_command", required=True)
     info = ring_sub.add_parser("info", help="trace table, units, cyclic data")
     info.add_argument("ring", help="ring descriptor JSON file")
-    info.set_defaults(func=cmd_ring_info)
+    info.set_defaults(handler="cmd_ring_info")
 
     state = sub.add_parser("state", help="state construction and verification")
     state_sub = state.add_subparsers(dest="state_command", required=True)
@@ -307,23 +314,23 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("hypergraph", help="calibrated hypergraph JSON file")
     build.add_argument("--dense", action="store_true",
                        help="append complex amplitudes (12 significant digits)")
-    build.set_defaults(func=cmd_state_build)
+    build.set_defaults(handler="cmd_state_build")
     verify = state_sub.add_parser("verify", help="run invariant suites")
     verify.add_argument("hypergraph", help="calibrated hypergraph JSON file")
     verify.add_argument("--stabilizer", action="store_true")
     verify.add_argument("--covariance", action="store_true")
     verify.add_argument("--lme", action="store_true")
     verify.add_argument("--pushforward", action="store_true")
-    verify.set_defaults(func=cmd_state_verify)
+    verify.set_defaults(handler="cmd_state_verify")
 
     reduce_p = sub.add_parser("reduce", help="effectivize and take the primitive core")
     reduce_p.add_argument("hypergraph", help="calibrated hypergraph JSON file")
-    reduce_p.set_defaults(func=cmd_reduce)
+    reduce_p.set_defaults(handler="cmd_reduce")
 
     classify = sub.add_parser("classify", help="congruence classes of a directory")
     classify.add_argument("directory", help="directory of hypergraph JSON files")
     classify.add_argument("--max-l", type=int, default=6)
-    classify.set_defaults(func=cmd_classify)
+    classify.set_defaults(handler="cmd_classify")
 
     convert = sub.add_parser("convert", help="conversion pipelines")
     convert.add_argument("hypergraph", help="hypergraph JSON file")
@@ -332,19 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--to", default="calibrated", choices=["calibrated"])
     convert.add_argument("--xstar", type=int, default=None,
                          help="control reference element (default p-1)")
-    convert.set_defaults(func=cmd_convert)
+    convert.set_defaults(handler="cmd_convert")
 
     matrices = sub.add_parser("matrices", help="power/basic matrices and polynomials")
     matrices.add_argument("ring", help="ring descriptor JSON file")
-    matrices.set_defaults(func=cmd_matrices)
+    matrices.set_defaults(handler="cmd_matrices")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (HyperquditError, OSError, json.JSONDecodeError) as exc:
         message = {"error": str(exc), "type": type(exc).__name__}
         if getattr(args, "json", False):

@@ -135,10 +135,6 @@ class ExpFunc:
                 return u
         return CycExponent.zero(ring)
 
-    def restrict(self, vertices: Iterable[int]) -> "ExpFunc":
-        keep = set(vertices)
-        return ExpFunc(tuple((v, u) for v, u in self.items if v in keep))
-
     def shift(self, offset: int) -> "ExpFunc":
         return ExpFunc(tuple((v + offset, u) for v, u in self.items))
 

@@ -38,8 +38,8 @@ from .states import (
     label_indices,
     omega_powers,
     pairing_matrix,
-    phase_array,
     pullback_table,
+    reduced_table,
     translate_table,
 )
 
@@ -73,8 +73,11 @@ def phase_function(hg: CalibratedHypergraph, x: Configuration) -> int:
     return total % ring.char
 
 
-def phase_table(hg: CalibratedHypergraph) -> tuple[int, ...]:
+def phase_table(hg: CalibratedHypergraph) -> np.ndarray:
     """sigma at every configuration, in configuration order; cached on the hypergraph.
+
+    The table is the read-only flat int64 array a FlatState stores, so
+    operators compute on it as it is and no caller can write into the cache.
 
     Each stored entry is evaluated on the grid of the vertices its key
     raises to a nonzero exponent (x^0 = 1 for every x, so the other
@@ -93,13 +96,9 @@ def phase_table(hg: CalibratedHypergraph) -> tuple[int, ...]:
                 shape[v] = ring.q
                 prod = k.mul[prod, k.power_values(u.items).reshape(shape)]
             total += val * k.trace[prod] % ring.char
-        cached = tuple((total.reshape(-1) % ring.char).tolist())
+        cached = reduced_table(total, ring.char)
         hg._phase_table_cache = cached  # idempotent; hypergraphs are immutable
     return cached
-
-
-def _sigma(hg: CalibratedHypergraph) -> np.ndarray:
-    return np.array(phase_table(hg), dtype=np.int64)
 
 
 def build_state(hg: CalibratedHypergraph) -> FlatState:
@@ -113,7 +112,7 @@ def apply_d(hg: CalibratedHypergraph, psi: FlatState) -> FlatState:
         raise WrongBasis("the hypergraph operator acts on computational tables")
     if psi.l != hg.l:
         raise GradeMismatch("state grade does not match the hypergraph")
-    return psi.with_phases(phase_array(psi) + _sigma(hg))
+    return psi.with_phases(psi.phases + phase_table(hg))
 
 
 def stabilizer_apply(hg: CalibratedHypergraph, a: Configuration, psi: FlatState) -> FlatState:
@@ -127,11 +126,14 @@ def stabilizer_apply(hg: CalibratedHypergraph, a: Configuration, psi: FlatState)
         raise WrongBasis("stabilizers act on computational tables")
     if psi.l != hg.l or len(a) != hg.l:
         raise GradeMismatch("grades do not match")
-    ring = hg.ring
-    a_idx = label_indices(ring, a, hg.l)
-    sigma = _sigma(hg)
-    shifted = translate_table(phase_array(psi) - sigma, ring, a_idx)
-    return psi.with_phases(shifted + sigma)
+    a_idx = label_indices(hg.ring, a, hg.l)
+    return psi.with_phases(_stabilized(psi.phases, phase_table(hg), hg.ring, a_idx))
+
+
+def _stabilized(table: np.ndarray, sigma: np.ndarray, ring, a_idx) -> np.ndarray:
+    """The stabilizer of a on a computational table, unreduced:
+    table(x + a) + sigma(x) - sigma(x + a) at every x."""
+    return translate_table(table - sigma, ring, a_idx) + sigma
 
 
 def basis_state(hg: CalibratedHypergraph, a: Configuration) -> FlatState:
@@ -153,7 +155,7 @@ def _stabilizer_matrix(hg: CalibratedHypergraph, a_idx) -> np.ndarray:
     dim = ring.q ** hg.l
     if dim > dense_cap():
         raise TooLarge(f"dense stabilizer of dimension {dim} exceeds the cap")
-    sigma = _sigma(hg)
+    sigma = phase_table(hg)
     source = np.arange(dim)
     target = translate_table(source, ring, ring.kernel.neg[list(a_idx)])  # index of y - a
     mat = np.zeros((dim, dim), dtype=complex)
@@ -222,7 +224,7 @@ def lme_orthonormal(hg: CalibratedHypergraph) -> bool:
     ring = hg.ring
     grid_size(ring.q, 2 * hg.l, "the pairwise orthonormality check")
     n, m = ring.q ** hg.l, ring.char
-    translates = (pairing_matrix(ring, hg.l) + _sigma(hg)[None, :]) % m
+    translates = (pairing_matrix(ring, hg.l) + phase_table(hg)[None, :]) % m
     rows = max(1, _PAIR_BLOCK // (n * n))
     for start in range(0, n, rows):
         block = translates[start:start + rows]
@@ -258,7 +260,7 @@ def lme_check(hg: CalibratedHypergraph, tol: float = 1e-9) -> bool:
         raise TooLarge("reduced-density path exceeds the dense cap")
     # rows: first factor, columns: extension label a, entries the dense
     # amplitudes of Z(a) applied to the state, scaled by dim^(-1/2)
-    exponents = (pairing_matrix(ring, hg.l) + _sigma(hg)[:, None]) % ring.char
+    exponents = (pairing_matrix(ring, hg.l) + phase_table(hg)[:, None]) % ring.char
     m = omega_powers(ring)[exponents] * (float(ring.q) ** (-hg.l / 2.0) * dim ** -0.5)
     rho = m @ m.conj().T
     return bool(np.allclose(rho, np.eye(dim) / dim, atol=tol))
@@ -273,12 +275,10 @@ def stabilizer_fixes_state(hg: CalibratedHypergraph) -> tuple[int, int]:
     """
     ring, l = hg.ring, hg.l
     grid_size(ring.q, 2 * l, "the stabilizer suite")
-    # stabilizer_apply for every label, with sigma and psi converted once
-    sigma = _sigma(hg)
-    psi = np.array([phase_function(hg, x) for x in all_configurations(ring, l)], dtype=np.int64)
-    unshifted = psi - sigma
+    sigma = phase_table(hg)
+    psi = reduced_table([phase_function(hg, x) for x in all_configurations(ring, l)], ring.char)
     good = 0
     for a_idx in itertools.product(range(ring.q), repeat=l):
-        moved = (translate_table(unshifted, ring, a_idx) + sigma) % ring.char
+        moved = _stabilized(psi, sigma, ring, a_idx) % ring.char
         good += bool(np.array_equal(moved, psi))
     return good, ring.q ** l

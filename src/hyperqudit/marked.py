@@ -83,7 +83,7 @@ def marked_state(mhg: MarkedHypergraph, x_star: RingElement | None = None) -> Fl
         for edge, target in mhg.marks:
             total += cz_phase(edge, target, x_star, x)
         phases.append(total % ring.char)
-    return FlatState(ring, mhg.l, COMPUTATIONAL, -mhg.l, tuple(phases))
+    return FlatState(ring, mhg.l, COMPUTATIONAL, -mhg.l, phases)
 
 
 def marked_to_calibrated(mhg: MarkedHypergraph,

@@ -18,9 +18,11 @@ phase counts: sum_x omega^(d(x)) is stored as the count of each residue
 d(x) and tested against zero by reduction mod the p^r-th cyclotomic
 polynomial.
 
-The operators work on the phase table as a numpy int array of shape
-(q,)*l, gathering through the ring kernel's tables; ``FlatState.phases``
-itself stays a tuple of Python ints, converted at the boundary.
+``FlatState.phases`` is a read-only flat ``np.int64`` array with every
+entry in [0, p^r); the constructor is the one place a table is reduced
+and frozen, so the operators gather through the ring kernel's tables on
+it directly and hand unreduced int64 results back to the constructor.
+Python ints appear only in the text and JSON output.
 """
 
 from __future__ import annotations
@@ -174,7 +176,8 @@ class FlatState:
     """Exact state with amplitude q^(norm_exp/2) * omega^(phase) per basis ket.
 
     The phase table has one entry in [0, p^r) per configuration, indexed
-    in the canonical mixed-radix order.  Normalized states have
+    in the canonical mixed-radix order; the constructor stores it as a
+    fresh read-only flat int64 array.  Normalized states have
     norm_exp = -l.
     """
 
@@ -182,60 +185,60 @@ class FlatState:
     l: int
     basis: str
     norm_exp: int
-    phases: tuple[int, ...]
+    phases: np.ndarray
 
     def __post_init__(self):
         if self.basis not in (COMPUTATIONAL, HADAMARD):
             raise BasisMismatch(f"unknown basis tag {self.basis!r}")
-        if len(self.phases) != self.ring.q ** self.l:
+        table = reduced_table(self.phases, self.ring.char)
+        if table.size != self.ring.q ** self.l:
             raise GradeMismatch("phase table size does not match the grade")
+        object.__setattr__(self, "phases", table)
 
     @staticmethod
     def from_table(ring: GaloisRing, l: int, phases, basis: str = COMPUTATIONAL,
                    norm_exp: int | None = None) -> "FlatState":
-        return FlatState(ring, l, basis, -l if norm_exp is None else norm_exp,
-                         _reduced(phases, ring.char))
+        return FlatState(ring, l, basis, -l if norm_exp is None else norm_exp, phases)
 
     @staticmethod
     def zero_ket(ring: GaloisRing, l: int) -> "FlatState":
         """The zero-configuration Hadamard ket: uniform phases over the
         computational table, the seed the hypergraph operator acts on."""
-        return FlatState(ring, l, COMPUTATIONAL, -l, (0,) * grid_size(ring.q, l, "the zero ket"))
+        return FlatState(ring, l, COMPUTATIONAL, -l,
+                         np.zeros(grid_size(ring.q, l, "the zero ket"), dtype=np.int64))
 
     def phase_at(self, x: Configuration) -> int:
-        return self.phases[config_index(self.ring, x)]
+        return int(self.phases[config_index(self.ring, x)])
 
     def with_phases(self, phases, norm_exp: int | None = None) -> "FlatState":
         """The same state data with a new phase table (any iterable of ints, or an int array)."""
         return FlatState(self.ring, self.l, self.basis,
-                         self.norm_exp if norm_exp is None else norm_exp,
-                         _reduced(phases, self.ring.char))
+                         self.norm_exp if norm_exp is None else norm_exp, phases)
 
     def add_constant(self, c: int) -> "FlatState":
-        return self.with_phases(phase_array(self) + c % self.ring.char)
+        return self.with_phases(self.phases + c % self.ring.char)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FlatState)
             and self.ring.key == other.ring.key
-            and (self.l, self.basis, self.norm_exp, self.phases)
-            == (other.l, other.basis, other.norm_exp, other.phases)
+            and (self.l, self.basis, self.norm_exp) == (other.l, other.basis, other.norm_exp)
+            and np.array_equal(self.phases, other.phases)
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.key, self.l, self.basis, self.norm_exp, self.phases))
+        return hash((self.ring.key, self.l, self.basis, self.norm_exp, self.phases.tobytes()))
 
 
-def _reduced(phases, m: int) -> tuple[int, ...]:
-    """A phase table reduced mod p^r as the tuple of Python ints FlatState stores."""
+def reduced_table(phases, m: int) -> np.ndarray:
+    """A phase table (any iterable of ints, or an int array of any shape) as the
+    fresh, flat, read-only int64 array of its residues mod m that FlatState stores."""
     if isinstance(phases, np.ndarray):
-        return tuple((phases % m).tolist())
-    return tuple(int(v) % m for v in phases)
-
-
-def phase_array(psi: FlatState) -> np.ndarray:
-    """The phase table as a flat int64 array (a fresh copy)."""
-    return np.array(psi.phases, dtype=np.int64)
+        table = np.asarray(phases, dtype=np.int64).reshape(-1) % m
+    else:
+        table = np.fromiter((int(v) % m for v in phases), dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def label_indices(ring: GaloisRing, a: Configuration, l: int) -> list[int]:
@@ -291,10 +294,10 @@ def apply_pauli_z(a: Configuration, psi: FlatState) -> FlatState:
     ring = psi.ring
     a_idx = label_indices(ring, a, psi.l)
     if psi.basis == COMPUTATIONAL:
-        return psi.with_phases(phase_array(psi) + pairing_table(ring, a_idx))
+        return psi.with_phases(psi.phases + pairing_table(ring, a_idx))
     # Hadamard: amplitude at x + a is the old amplitude at x
     minus_a = ring.kernel.neg[a_idx]
-    return psi.with_phases(translate_table(phase_array(psi), ring, minus_a))
+    return psi.with_phases(translate_table(psi.phases, ring, minus_a))
 
 
 def apply_pauli_x(a: Configuration, psi: FlatState) -> FlatState:
@@ -302,10 +305,10 @@ def apply_pauli_x(a: Configuration, psi: FlatState) -> FlatState:
     ring = psi.ring
     a_idx = label_indices(ring, a, psi.l)
     if psi.basis == HADAMARD:
-        return psi.with_phases(phase_array(psi) + pairing_table(ring, a_idx))
+        return psi.with_phases(psi.phases + pairing_table(ring, a_idx))
     # computational: X(a) maps the ket of x to the ket of x - a,
     # so the new table value at x is the old value at x + a
-    return psi.with_phases(translate_table(phase_array(psi), ring, a_idx))
+    return psi.with_phases(translate_table(psi.phases, ring, a_idx))
 
 
 def apply_he_morphism(f: OrdinalMorphism, psi: FlatState) -> FlatState:
@@ -322,7 +325,7 @@ def apply_he_morphism(f: OrdinalMorphism, psi: FlatState) -> FlatState:
     grid_size(ring.q, f.target_size, "the transported state")
     return FlatState(ring, f.target_size, COMPUTATIONAL,
                      psi.norm_exp + (psi.l - f.target_size),
-                     _reduced(pullback_table(phase_array(psi), ring, f), ring.char))
+                     pullback_table(psi.phases, ring, f))
 
 
 def tensor(psi: FlatState, phi: FlatState) -> FlatState:
@@ -331,10 +334,9 @@ def tensor(psi: FlatState, phi: FlatState) -> FlatState:
         raise RingMismatch("tensor of states over different rings")
     if psi.basis != phi.basis:
         raise BasisMismatch("tensor of states in different bases")
-    require_exact(len(psi.phases) * len(phi.phases), "the tensor product")
-    table = phase_array(psi)[:, None] + phase_array(phi)[None, :]
-    return FlatState(psi.ring, psi.l + phi.l, psi.basis,
-                     psi.norm_exp + phi.norm_exp, _reduced(table.reshape(-1), psi.ring.char))
+    require_exact(psi.phases.size * phi.phases.size, "the tensor product")
+    table = psi.phases[:, None] + phi.phases[None, :]
+    return FlatState(psi.ring, psi.l + phi.l, psi.basis, psi.norm_exp + phi.norm_exp, table)
 
 
 # -- exact inner products ----------------------------------------------------------
@@ -348,7 +350,7 @@ def phase_difference_counts(psi: FlatState, phi: FlatState) -> list[int]:
     if psi.basis != phi.basis:
         raise BasisMismatch("inner product across bases")
     m = psi.ring.char
-    return np.bincount((phase_array(phi) - phase_array(psi)) % m, minlength=m).tolist()
+    return np.bincount((phi.phases - psi.phases) % m, minlength=m).tolist()
 
 
 def cyclotomic_residues(counts: np.ndarray, p: int, r: int) -> np.ndarray:
@@ -390,7 +392,7 @@ def equal_up_to_phase(psi: FlatState, phi: FlatState) -> int | None:
     if (psi.ring.key, psi.l, psi.basis, psi.norm_exp) != (
             phi.ring.key, phi.l, phi.basis, phi.norm_exp):
         return None
-    diff = (phase_array(phi) - phase_array(psi)) % psi.ring.char
+    diff = (phi.phases - psi.phases) % psi.ring.char
     c = int(diff[0])
     return c if bool((diff == c).all()) else None
 
@@ -420,11 +422,11 @@ def to_dense(psi: FlatState) -> DenseState:
     mag = float(ring.q) ** (psi.norm_exp / 2.0)
     omega = omega_powers(ring)
     if psi.basis == COMPUTATIONAL:
-        return DenseState(ring, psi.l, mag * omega[phase_array(psi)])
+        return DenseState(ring, psi.l, mag * omega[psi.phases])
     # Hadamard kets expanded over computational ones: amplitude at y sums
     # omega^(phase(x) + <y,x>) over x
     scale = mag * float(ring.q) ** (-psi.l / 2.0)
-    exponents = (pairing_matrix(ring, psi.l) + phase_array(psi)[None, :]) % ring.char
+    exponents = (pairing_matrix(ring, psi.l) + psi.phases[None, :]) % ring.char
     return DenseState(ring, psi.l, scale * omega[exponents].sum(axis=1))
 
 
@@ -471,8 +473,9 @@ def emit_state(psi: FlatState, dense: bool = False) -> str:
         f"# char {psi.ring.char}",
     ]
     amps = to_dense(psi).amplitudes if dense else None
+    phases = psi.phases.tolist()
     for i, x in enumerate(all_configurations(psi.ring, psi.l)):
-        row = f"{render_configuration(x)}  {psi.phases[i]}"
+        row = f"{render_configuration(x)}  {phases[i]}"
         if amps is not None:
             re = 0.0 if abs(amps[i].real) < 1e-12 else amps[i].real
             im = 0.0 if abs(amps[i].imag) < 1e-12 else amps[i].imag

@@ -82,7 +82,7 @@ def phase_function(hg, x):
 # -- configuration loops ------------------------------------------------------------------
 
 def phase_table(hg):
-    return tuple(phase_function(hg, x) for x in all_configurations(hg.ring, hg.l))
+    return [phase_function(hg, x) for x in all_configurations(hg.ring, hg.l)]
 
 
 def _pairing_table(psi, a):

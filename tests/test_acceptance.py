@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 import hyperqudit as hq
@@ -49,16 +50,16 @@ def warm_rings():
 def test_criterion_01_bell_reproduction():
     with Budget("criterion 1: Bell reproduction", 0.010):
         expected = {
-            (0, 0): (0, 0, 0, 1),
-            (0, 1): (0, 1, 0, 0),
-            (1, 0): (0, 0, 1, 0),
-            (1, 1): (0, 1, 1, 1),
+            (0, 0): [0, 0, 0, 1],
+            (0, 1): [0, 1, 0, 0],
+            (1, 0): [0, 0, 1, 0],
+            (1, 1): [0, 1, 1, 1],
         }
         for (a0, a1), phases in expected.items():
             psi = hq.build_state(hq.bell_hypergraph(a0, a1))
-            assert psi.phases == phases
+            assert psi.phases.tolist() == phases
             assert psi.norm_exp == -2
-            assert all(isinstance(v, int) for v in psi.phases)
+            assert psi.phases.dtype == np.int64 and not psi.phases.flags.writeable
 
 
 def test_criterion_02_qutrit_reproduction():
@@ -77,18 +78,18 @@ def test_criterion_02_qutrit_reproduction():
         return (sq[x0] * sq[x1] * x2 + sq[x0] * x1 + x0 * sq[x2]
                 + 2 * sq[x0] * x2 + 2 * x0 + 2 * x1)
 
-    printed_c = (0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 0, 0, 1, 0, 1, 0,
-                 0, 0, 2, 1, 1, 0, 2, 0, 0)
-    printed_e = (0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 0, 0, 1, 0, 1, 0,
-                 0, 0, 2, 1, 1, 0, 2, 1, 2)
+    printed_c = [0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 0, 0, 1, 0, 1, 0,
+                 0, 0, 2, 1, 1, 0, 2, 0, 0]
+    printed_e = [0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 0, 0, 1, 0, 1, 0,
+                 0, 0, 2, 1, 1, 0, 2, 1, 2]
     with Budget("criterion 2: qutrit reproduction", 0.100):
         for lab in hq.QUTRIT_LABELS:
             psi = hq.build_state(hq.qutrit_hypergraph(lab))
             for i, x in enumerate(hq.all_configurations(f3, 3)):
                 x0, x1, x2 = (e.coeffs[0] for e in x)
                 assert psi.phases[i] == formulas(lab, x0, x1, x2) % 3
-        assert hq.build_state(hq.qutrit_hypergraph("c")).phases == printed_c
-        assert hq.build_state(hq.qutrit_hypergraph("e")).phases == printed_e
+        assert hq.build_state(hq.qutrit_hypergraph("c")).phases.tolist() == printed_c
+        assert hq.build_state(hq.qutrit_hypergraph("e")).phases.tolist() == printed_e
 
 
 def test_criterion_03_stabilizer_suite():
@@ -121,7 +122,7 @@ def test_criterion_03_stabilizer_suite():
                 for x in labels
             ]
             signatures = {
-                tuple(hq.stabilizer_apply(hg, a, s).phases for s in span)
+                tuple(tuple(hq.stabilizer_apply(hg, a, s).phases.tolist()) for s in span)
                 for a in labels
             }
             assert len(signatures) == ring.q ** hg.l
@@ -301,12 +302,12 @@ def test_criterion_09_marked_cz_equivalence():
             psi = hq.marked_state(mhg)
             assert psi == hq.build_state(hq.marked_to_calibrated(mhg))
             assert psi == hq.build_state(hq.qutrit_hypergraph(lab))
-            expected = tuple(
+            expected = [
                 polys[lab](*(e.coeffs[0] for e in x)) % 3
-                for x in hq.all_configurations(f3, 3))
-            assert psi.phases == expected
+                for x in hq.all_configurations(f3, 3)]
+            assert psi.phases.tolist() == expected
         # exhaustive non-weightedness of the triple-edge state
-        target = hq.phase_table(hq.qutrit_hypergraph("a"))
+        target = hq.phase_table(hq.qutrit_hypergraph("a")).tolist()
         edges = [e for k in (1, 2, 3) for e in itertools.combinations(range(3), k)]
         monomials = []
         for e in edges:
@@ -324,7 +325,7 @@ def test_criterion_09_marked_cz_equivalence():
                     for i, v in enumerate(col):
                         table[i] += alpha * v
             for const in range(3):
-                assert tuple((v + const) % 3 for v in table) != target
+                assert [(v + const) % 3 for v in table] != target
 
 
 def test_criterion_10_reduction():
@@ -373,7 +374,7 @@ def test_criterion_12_conversions():
                 whg = hq.WeightedHypergraph.make(
                     ring, l, {e: rng.randrange(ring.char) for e in edges})
                 hg = hq.weighted_to_calibrated(whg)
-                assert hq.phase_table(hg) == weighted_phase_table(whg)
+                assert hq.phase_table(hg).tolist() == weighted_phase_table(whg)
         f2 = named_ring("F2")
         for _ in range(25):
             hg = random_calibrated(f2, rng.randint(1, 3), rng)
@@ -397,4 +398,4 @@ def test_criterion_12_conversions():
                             term *= pow((x0, x1)[v], k)
                         total += term
                 expected.append(total % 5)
-            assert hq.phase_table(hg) == tuple(expected)
+            assert hq.phase_table(hg).tolist() == expected

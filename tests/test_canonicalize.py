@@ -57,7 +57,7 @@ def weighted_phase_table(whg):
                 prod = prod * x[r]
             total += alpha * ring.trace(prod)
         out.append(total % ring.char)
-    return tuple(out)
+    return out
 
 
 class TestEffective:
@@ -73,7 +73,7 @@ class TestEffective:
             assert is_effective(eff)
             assert eff.edges == edges
             assert const == 0
-            assert phase_table(eff) == phase_table(qutrit_hypergraph(lab))
+            assert phase_table(eff).tolist() == phase_table(qutrit_hypergraph(lab)).tolist()
 
     def test_effectivize_already_effective(self):
         eff, _ = effectivize(qutrit_hypergraph("c"))
@@ -257,7 +257,7 @@ class TestWeightedConversion:
     def test_f3_phase_formula(self, f3):
         whg = WeightedHypergraph.make(f3, 2, {(0, 1): 2})
         hg = weighted_to_calibrated(whg)
-        assert phase_table(hg) == weighted_phase_table(whg)
+        assert phase_table(hg).tolist() == weighted_phase_table(whg)
 
     def test_states_preserved_at_random(self):
         rng = random.Random(17)
@@ -268,7 +268,7 @@ class TestWeightedConversion:
                 itertools.combinations(range(l), k) for k in range(1, l + 1)))
             weights = {e: rng.randrange(ring.char) for e in edges}
             whg = WeightedHypergraph.make(ring, l, weights)
-            assert phase_table(weighted_to_calibrated(whg)) == weighted_phase_table(whg)
+            assert phase_table(weighted_to_calibrated(whg)).tolist() == weighted_phase_table(whg)
 
 
 class TestPolyConversion:
@@ -276,12 +276,12 @@ class TestPolyConversion:
         tau = {(0, 1): {((0, 1), (1, 1)): 1}}
         hg = poly_to_calibrated(f2, 2, tau)
         whg = WeightedHypergraph.make(f2, 2, {(0, 1): 1})
-        assert phase_table(hg) == weighted_phase_table(whg)
+        assert phase_table(hg).tolist() == weighted_phase_table(whg)
 
     def test_square_phase_f3(self, f3):
         hg = poly_to_calibrated(f3, 1, {(0,): {((0, 2),): 1}})
-        expected = tuple(f3.trace(x * x) for x in f3.elements)
-        assert phase_table(hg) == expected
+        expected = [f3.trace(x * x) for x in f3.elements]
+        assert phase_table(hg).tolist() == expected
         # the key folds per element: exponents (1, 0, 0) at index order 0,1,2
         key = next(iter(hg.calib[(0,)]))
         assert key.value(0, f3).to_dense() == (1, 0, 0)
@@ -299,8 +299,8 @@ class TestPolyConversion:
         # per-element reductions, so the phase matches the monomial
         k = special_exponents(f3).delta + 2  # = 4
         hg = poly_to_calibrated(f3, 1, {(0,): {((0, k),): 1}})
-        expected = tuple(f3.trace(x ** k) for x in f3.elements)
-        assert phase_table(hg) == expected
+        expected = [f3.trace(x ** k) for x in f3.elements]
+        assert phase_table(hg).tolist() == expected
 
     def test_general_polynomial_phase(self, f5):
         # tau(x) = 3 x0^3 x1^2 + x0 on edge {0,1} plus x1^4 on {1}
@@ -315,7 +315,7 @@ class TestPolyConversion:
         for x in all_configurations(f5, 2):
             x0, x1 = (e.coeffs[0] for e in x)
             expected.append((3 * pow(x0, 3) * pow(x1, 2) + x0 + pow(x1, 4)) % 5)
-        assert phase_table(hg) == tuple(expected)
+        assert phase_table(hg).tolist() == expected
 
 
 class TestQubitCollapse:
@@ -326,7 +326,7 @@ class TestQubitCollapse:
                 e for e, w in [((0,), a0), ((1,), a1), ((0, 1), 1)] if w)
             assert whg.edges == tuple(sorted(expected_edges))
             assert const == 0
-            assert weighted_phase_table(whg) == phase_table(bell_hypergraph(a0, a1))
+            assert weighted_phase_table(whg) == phase_table(bell_hypergraph(a0, a1)).tolist()
 
     def test_round_trip_through_weighted(self, f2):
         rng = random.Random(19)

@@ -15,7 +15,8 @@ from hyperqudit import (
     qutrit_hypergraph,
     qutrit_marked,
 )
-from hyperqudit.cli import main
+import hyperqudit.cli as cli
+from hyperqudit.cli import build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -24,6 +25,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+        assert build_parser().format_help() == build_parser.__wrapped__().format_help()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["state", "verify", "--help"], [], ["state"],
+        ["convert", "x.json", "--from", "dense"], ["classify", "d", "--max-l", "six"],
+    ])
+    def test_help_and_usage_errors_repeat_byte_identical(self, capsys, argv):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            captured = capsys.readouterr()
+            seen.append((exc.value.code, captured.out, captured.err))
+        assert seen[0] == seen[1]
+        assert seen[0][1] or seen[0][2]
+
+    def test_rebound_handler_runs(self, capsys, monkeypatch):
+        path = str(FIXTURES / "bell_00.json")
+        assert run(capsys, "state", "build", path)[0] == 0
+        monkeypatch.setattr(cli, "cmd_state_build", lambda args: 7)
+        assert main(["state", "build", path]) == 7
 
 
 class TestStateBuild:
@@ -44,7 +71,7 @@ class TestStateBuild:
         code, out, _ = run(capsys, "--json", "state", "build", str(FIXTURES / "qutrit_c.json"))
         assert code == 0
         doc = json.loads(out)
-        assert doc["phases"] == list(build_state(qutrit_hypergraph("c")).phases)
+        assert doc["phases"] == build_state(qutrit_hypergraph("c")).phases.tolist()
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "state", "build", str(FIXTURES / "qutrit_e.json"))
@@ -175,7 +202,7 @@ class TestConvert:
         hg = hypergraph_from_json(json.loads(out), "calibrated")
         from hyperqudit import phase_table
 
-        assert phase_table(hg) == tuple(f3.trace(x * x) for x in f3.elements)
+        assert phase_table(hg).tolist() == [f3.trace(x * x) for x in f3.elements]
 
 
 class TestMatrices:
@@ -373,9 +400,10 @@ class TestExitCodes:
 
         def corrupted(doc, kind):
             hg = hypergraph_from_json(doc, kind)
-            table = list(phase_table(hg))
+            table = phase_table(hg).copy()
             table[5] = (table[5] + 1) % hg.ring.char
-            hg._phase_table_cache = tuple(table)
+            table.flags.writeable = False
+            hg._phase_table_cache = table
             return hg
 
         monkeypatch.setattr(cli, "hypergraph_from_json", corrupted)

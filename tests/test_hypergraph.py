@@ -1,6 +1,7 @@
 """Ordinal morphisms, calibrations, pushforwards and the monadic product."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -24,11 +25,30 @@ from hyperqudit import (
 from hyperqudit.errors import DomainMismatch, SizeMismatch
 
 
+def exponent_bounds(ring):
+    """Per element, the number of values its generalized-exponent component takes."""
+    return [sum(index_period(x)) for x in ring.elements]
+
+
 def all_exponents(ring):
     """Every generalized exponent of the ring, as dense tuples."""
-    bounds = [sum(index_period(x)) for x in ring.elements]
-    for dense in itertools.product(*[range(b) for b in bounds]):
+    for dense in itertools.product(*[range(b) for b in exponent_bounds(ring)]):
         yield CycExponent.from_dense(ring, dense)
+
+
+def random_exponent(ring, rng, bounds):
+    """Entry rng.randrange(N) of all_exponents(ring), N the product of the bounds.
+
+    Decoded in mixed radix with the last component fastest, so it draws the
+    same exponent as rng.choice(list(all_exponents(ring))) without listing
+    them (choice and randrange consume the generator alike).
+    """
+    idx = rng.randrange(math.prod(bounds))
+    dense = []
+    for b in reversed(bounds):
+        idx, digit = divmod(idx, b)
+        dense.append(digit)
+    return CycExponent.from_dense(ring, tuple(reversed(dense)))
 
 
 def all_exp_funcs(ring, edge):
@@ -44,15 +64,35 @@ def random_calibrated(ring, l, rng, key_budget=3):
         edges.extend(itertools.combinations(range(l), size))
     rng.shuffle(edges)
     chosen = edges[: rng.randint(1, min(3, len(edges)))]
-    exps = list(all_exponents(ring))
+    bounds = exponent_bounds(ring)
     calib = {}
     for e in chosen:
         slot = {}
         for _ in range(rng.randint(1, key_budget)):
-            w = ExpFunc.make({v: rng.choice(exps) for v in e})
+            w = ExpFunc.make({v: random_exponent(ring, rng, bounds) for v in e})
             slot[w] = rng.randrange(ring.char)
         calib[e] = slot
     return CalibratedHypergraph(ring, l, calib, edges=chosen)
+
+
+class TestRandomCalibrated:
+    @pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5"])
+    def test_draw_matches_the_listed_choice(self, name):
+        ring = named_ring(name)
+        exps = list(all_exponents(ring))
+        bounds = exponent_bounds(ring)
+        for seed in range(6):
+            listed, decoded = random.Random(seed), random.Random(seed)
+            for _ in range(25):
+                assert random_exponent(ring, decoded, bounds) == listed.choice(exps)
+            assert decoded.random() == listed.random()
+
+    @pytest.mark.parametrize("name", ["GR(4,2)", "F16"])
+    def test_large_exponent_sets_return(self, name):
+        ring = named_ring(name)
+        assert math.prod(exponent_bounds(ring)) > 10 ** 8
+        hg = random_calibrated(ring, 2, random.Random(3))
+        assert hg.ring.key == ring.key and hg.l == 2 and hg.edges
 
 
 class TestOrdinalMorphism:
@@ -265,7 +305,9 @@ class TestImmutability:
             hg.calib[(0, 1)][key] = 0
         with pytest.raises(TypeError):
             del hg.calib[(0, 1)][key]
-        assert hash(hg) == before and phase_table(hg) == table == phase_table(bell_hypergraph(1, 0))
+        assert hash(hg) == before
+        assert phase_table(hg).tolist() == table.tolist()
+        assert table.tolist() == phase_table(bell_hypergraph(1, 0)).tolist()
 
 
 class TestJson:

@@ -41,12 +41,12 @@ TOL = 1e-9
 
 # printed 27-entry phase tables of the qutrit family, kets ordered
 # 000, 001, 002, 010, ..., 222 (last digit fastest)
-QUTRIT_C_TABLE = (0, 0, 0, 0, 0, 0, 0, 1, 2,
+QUTRIT_C_TABLE = [0, 0, 0, 0, 0, 0, 0, 1, 2,
                   0, 0, 1, 0, 0, 1, 0, 1, 0,
-                  0, 0, 2, 1, 1, 0, 2, 0, 0)
-QUTRIT_E_TABLE = (0, 0, 0, 0, 0, 0, 0, 1, 2,
+                  0, 0, 2, 1, 1, 0, 2, 0, 0]
+QUTRIT_E_TABLE = [0, 0, 0, 0, 0, 0, 0, 1, 2,
                   0, 0, 1, 0, 0, 1, 0, 1, 0,
-                  0, 0, 2, 1, 1, 0, 2, 1, 2)
+                  0, 0, 2, 1, 1, 0, 2, 1, 2]
 
 
 class TestPhaseFunction:
@@ -59,7 +59,7 @@ class TestPhaseFunction:
 
     def test_empty_hypergraph_vanishes(self, f3):
         hg = CalibratedHypergraph.empty(f3, 2)
-        assert phase_table(hg) == (0,) * 9
+        assert phase_table(hg).tolist() == [0] * 9
 
     def test_qutrit_b_formula(self, f3):
         hg = qutrit_hypergraph("b")
@@ -78,21 +78,21 @@ class TestPhaseFunction:
 class TestBuildState:
     def test_empty_is_scalar_unit(self, f3):
         psi = build_state(CalibratedHypergraph.empty(f3, 0))
-        assert psi.l == 0 and psi.norm_exp == 0 and psi.phases == (0,)
+        assert psi.l == 0 and psi.norm_exp == 0 and psi.phases.tolist() == [0]
 
     def test_bell_sign_patterns(self):
         expected = {
-            (0, 0): (0, 0, 0, 1),
-            (0, 1): (0, 1, 0, 0),
-            (1, 0): (0, 0, 1, 0),
-            (1, 1): (0, 1, 1, 1),
+            (0, 0): [0, 0, 0, 1],
+            (0, 1): [0, 1, 0, 0],
+            (1, 0): [0, 0, 1, 0],
+            (1, 1): [0, 1, 1, 1],
         }
         for (a0, a1), phases in expected.items():
-            assert build_state(bell_hypergraph(a0, a1)).phases == phases
+            assert build_state(bell_hypergraph(a0, a1)).phases.tolist() == phases
 
     def test_qutrit_printed_expansions(self):
-        assert build_state(qutrit_hypergraph("c")).phases == QUTRIT_C_TABLE
-        assert build_state(qutrit_hypergraph("e")).phases == QUTRIT_E_TABLE
+        assert build_state(qutrit_hypergraph("c")).phases.tolist() == QUTRIT_C_TABLE
+        assert build_state(qutrit_hypergraph("e")).phases.tolist() == QUTRIT_E_TABLE
 
     def test_normalized(self):
         for lab in "abcde":
@@ -160,9 +160,10 @@ class TestStabilizers:
         # cached table makes every nonzero label fail
         hg = qutrit_hypergraph("e")
         assert stabilizer_fixes_state(hg) == (27, 27)
-        table = list(phase_table(hg))
+        table = phase_table(hg).copy()
         table[5] = (table[5] + 1) % 3
-        hg._phase_table_cache = tuple(table)
+        table.flags.writeable = False
+        hg._phase_table_cache = table
         assert stabilizer_fixes_state(hg) == (1, 27)
 
     def test_pairwise_distinct_on_spanning_set(self, f2):

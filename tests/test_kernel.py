@@ -8,6 +8,7 @@ with the per-configuration loops kept in the same module.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from hyperqudit.galois import _KERNELS, EXACT_CAP
 from hyperqudit.hyperstate import dense_he_matrix, dense_stabilizer_matrix
 from hyperqudit.states import cyclotomic_residue, phase_difference_counts
 from tests import oracle
+from tests.test_hypergraph import random_calibrated
 
 CATALOG = sorted(RING_CATALOG)
 TOL = 1e-9
@@ -136,8 +138,9 @@ def test_phase_table_matches_phase_function(name, data):
     l = data.draw(st.integers(0, max_grade(ring, 512)))
     hg = data.draw(hypergraphs(ring, l))
     table = phase_table(hg)
-    assert all(type(v) is int for v in table)
-    assert table == oracle.phase_table(hg)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert ((0 <= table) & (table < ring.char)).all()
+    assert table.tolist() == oracle.phase_table(hg)
     for i, x in enumerate(all_configurations(ring, l)):
         assert table[i] == phase_function(hg, x)
 
@@ -229,6 +232,28 @@ def test_morphism_tensor_and_inner_products_match_oracle(name, data):
     assert equal_up_to_phase(psi, chi) == oracle.equal_up_to_phase(psi, chi)
     c = data.draw(st.integers(0, ring.char - 1))
     assert equal_up_to_phase(psi, psi.add_constant(c)) == c
+
+
+@pytest.mark.parametrize("name", ["F3", "F5", "Z9"])
+def test_tables_below_sigma_match_oracle(name):
+    """psi < sigma entrywise: differences go negative before the reduction,
+    which an unsigned table would wrap mod 2^bits instead of mod p^r."""
+    ring = named_ring(name)
+    rng = random.Random(f"below-sigma/{name}")
+    hg = random_calibrated(ring, 2, rng)
+    while not phase_table(hg).any():
+        hg = random_calibrated(ring, 2, rng)
+    sigma = build_state(hg)
+    psi = sigma.with_phases([rng.randrange(s) if s else 0 for s in sigma.phases.tolist()])
+    assert (psi.phases < sigma.phases).any()
+    for a in [tuple(rng.choice(ring.elements) for _ in range(2)) for _ in range(6)]:
+        assert stabilizer_apply(hg, a, psi) == oracle.stabilizer_apply(hg, a, psi)
+    assert phase_difference_counts(sigma, psi) == oracle.phase_difference_counts(sigma, psi)
+    assert equal_up_to_phase(sigma, psi) == oracle.equal_up_to_phase(sigma, psi)
+    for c in range(1, ring.char):
+        shifted = sigma.with_phases(sigma.phases - c)
+        assert equal_up_to_phase(sigma, shifted) == oracle.equal_up_to_phase(sigma, shifted)
+        assert equal_up_to_phase(sigma, shifted) == ring.char - c
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,6 +15,7 @@ from hyperqudit import (
     apply_he_morphism,
     apply_pauli_x,
     apply_pauli_z,
+    build_state,
     config_index,
     ef,
     ef_transpose,
@@ -23,6 +24,8 @@ from hyperqudit import (
     fourier_matrix,
     is_orthogonal,
     named_ring,
+    phase_table,
+    qutrit_hypergraph,
     tensor,
     to_dense,
     trace_pairing,
@@ -283,7 +286,7 @@ class TestHeMorphism:
         out = apply_he_morphism(OrdinalMorphism(0, 2, ()), psi)
         assert out.l == 2
         assert out.norm_exp == -2
-        assert out.phases == (1, 1, 1, 1)
+        assert out.phases.tolist() == [1, 1, 1, 1]
 
     def test_matches_hadamard_matrix_oracle(self, f2):
         # dense oracle: sum over x of |Ef(x)><x| in the Hadamard basis,
@@ -404,6 +407,35 @@ class TestExactInnerProducts:
         other = psi.with_phases(
             [v if i else (v + 1) % 3 for i, v in enumerate(psi.phases)])
         assert equal_up_to_phase(psi, other) is None
+
+
+class TestPhaseTableContract:
+    def test_tables_are_read_only_int64(self):
+        hg = qutrit_hypergraph("a")
+        zero = FlatState.zero_ket(hg.ring, 2)
+        for table in (build_state(hg).phases, phase_table(hg), zero.phases):
+            assert table.dtype == np.int64 and table.ndim == 1
+            with pytest.raises(ValueError):
+                table[0] = 1
+        assert phase_table(hg) is phase_table(hg)  # the cache itself cannot be corrupted
+
+    def test_inputs_normalize_to_one_state(self, f3):
+        source = np.array([1, 2, 0], dtype=np.int64)
+        states = [
+            FlatState.from_table(f3, 1, [1, 2, 0]),
+            FlatState.from_table(f3, 1, source),
+            FlatState.from_table(f3, 1, (4, -1, 9)),
+            FlatState.from_table(f3, 1, np.array([[7], [5], [-3]], dtype=np.int32)),
+        ]
+        source[0] = 2  # the state holds its own copy
+        for psi in states:
+            assert psi == states[0] and hash(psi) == hash(states[0])
+            assert psi.phases.tolist() == [1, 2, 0] and psi.phase_at((f3.zero,)) == 1
+            assert type(psi.phase_at((f3.zero,))) is int
+        four, one = (FlatState.from_table(f3, 0, [v], norm_exp=0) for v in (4, 1))
+        assert four == one and hash(four) == hash(one)
+        assert FlatState.from_table(f3, 1, [1, 2, 1]) != states[0]
+        assert FlatState.from_table(f3, 1, [1, 2, 0], norm_exp=0) != states[0]
 
 
 class TestSerialization:
