@@ -20,7 +20,8 @@ polynomial.
 
 ``FlatState.phases`` is a read-only flat ``np.int64`` array with every
 entry in [0, p^r); the constructor is the one place a table is reduced
-and frozen, so the operators gather through the ring kernel's tables on
+and frozen (a table that already is one is adopted without a copy), so
+the operators gather through the ring kernel's tables on
 it directly and hand unreduced int64 results back to the constructor.
 Python ints appear only in the text and JSON output.
 """
@@ -177,7 +178,7 @@ class FlatState:
 
     The phase table has one entry in [0, p^r) per configuration, indexed
     in the canonical mixed-radix order; the constructor stores it as a
-    fresh read-only flat int64 array.  Normalized states have
+    read-only flat int64 array (see `reduced_table`).  Normalized states have
     norm_exp = -l.
     """
 
@@ -232,7 +233,17 @@ class FlatState:
 
 def reduced_table(phases, m: int) -> np.ndarray:
     """A phase table (any iterable of ints, or an int array of any shape) as the
-    fresh, flat, read-only int64 array of its residues mod m that FlatState stores."""
+    flat, read-only int64 array of its residues mod m that FlatState stores.
+
+    An array that already is such a table and owns its data (so no
+    writeable base can change it) is returned as it is, which lets every
+    state built from a cached phase table share the cache; any other input
+    is copied and reduced.
+    """
+    if (isinstance(phases, np.ndarray) and phases.dtype == np.int64 and phases.ndim == 1
+            and phases.flags.owndata and not phases.flags.writeable
+            and phases.size and phases.min() >= 0 and phases.max() < m):
+        return phases
     if isinstance(phases, np.ndarray):
         table = np.asarray(phases, dtype=np.int64).reshape(-1) % m
     else:

@@ -6,6 +6,9 @@ with `RingElement` arithmetic and `config_index`.  The per-element data
 the package reads from its ring kernel (index and period, generalized
 powers, the trace) is recomputed here from scalar multiplication alone,
 so that nothing below is checked against the kernel itself.  The
+dense stabilizer pushforward is the matrix identity the package reduces
+to a table comparison, checked label by label on the package's dense
+matrices, which are themselves compared with the loops here.  The
 field-polynomial matrices at the end are the same kind of loop over
 matrix entries, and congruence and isotropy at the very end try every
 vertex permutation through the functorial action.  They are slow and
@@ -16,6 +19,7 @@ import itertools
 
 import numpy as np
 
+import hyperqudit.hyperstate as hyperstate
 from hyperqudit import (
     COMPUTATIONAL,
     HADAMARD,
@@ -236,6 +240,32 @@ def dense_he_matrix(f, ring):
     for y in all_configurations(ring, f.target_size):
         mat[config_index(ring, y), config_index(ring, ef_transpose(f, y))] = scale
     return mat
+
+
+def stabilizer_pushforward(hg, f, tol=1e-9):
+    """The stabilizer pushforward identity on dense matrices, one source label a at a time:
+    H_f S(a) H_f^dagger = q^(l-m) * (sum of the image's S(b) over b with ef_transpose(f, b) = a).
+
+    The matrices come from the package's dense builders, which the loops
+    above check; they read the hypergraph's phase table as cached, so a
+    corrupted cache is seen here as it is by the exact check.
+    """
+    ring = hg.ring
+    l, m = f.source_size, f.target_size
+    image = apply_morphism(f, hg)
+    hf = hyperstate.dense_he_matrix(f, ring)
+    scale = float(ring.q) ** (l - m)
+    preimages = {a: [] for a in all_configurations(ring, l)}
+    for b in all_configurations(ring, m):
+        preimages[ef_transpose(f, b)].append(b)
+    for a, image_labels in preimages.items():
+        lhs = hf @ hyperstate.dense_stabilizer_matrix(hg, a) @ hf.conj().T
+        rhs = np.zeros((ring.q ** m, ring.q ** m), dtype=complex)
+        for b in image_labels:
+            rhs += hyperstate.dense_stabilizer_matrix(image, b)
+        if not np.allclose(lhs, scale * rhs, atol=tol):
+            return False
+    return True
 
 
 # -- field-polynomial matrices ----------------------------------------------------------

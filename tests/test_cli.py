@@ -27,6 +27,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def load_with_corrupted_table(monkeypatch):
+    """Make the CLI's loader cache a phase table that is wrong at entry 5."""
+    from hyperqudit import phase_table
+
+    def corrupted(doc, kind):
+        hg = hypergraph_from_json(doc, kind)
+        table = phase_table(hg).copy()
+        table[5] = (table[5] + 1) % hg.ring.char
+        table.flags.writeable = False
+        hg._phase_table_cache = table
+        return hg
+
+    monkeypatch.setattr(cli, "hypergraph_from_json", corrupted)
+
+
 class TestParser:
     def test_built_once_per_process(self):
         assert build_parser() is build_parser()
@@ -244,14 +259,15 @@ class TestRingInfo:
 
 class TestDenseCap:
     def test_env_var_limits_dense_paths(self, capsys, monkeypatch):
+        # the pushforward suite is exact, so only the lme dense path is capped
         monkeypatch.setenv("HGS_DENSE_CAP", "4")
         code, out, _ = run(capsys, "state", "verify", str(FIXTURES / "qutrit_b.json"),
                            "--lme", "--pushforward")
         assert code == 0
         assert "exact path only" in out
-        assert "pushforward skipped" in out
+        assert "3/3 stabilizer pushforward checks passed" in out
 
-    def test_json_reports_skip_and_judges_suites_that_ran(self, capsys, monkeypatch):
+    def test_json_reports_capped_lme_and_judges_every_suite(self, capsys, monkeypatch):
         import hyperqudit.cli as cli
 
         monkeypatch.setenv("HGS_DENSE_CAP", "4")
@@ -260,8 +276,9 @@ class TestDenseCap:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         doc = json.loads(out)
-        assert doc["checks"]["pushforward"] == {"status": "skipped", "detail": "over dense cap"}
+        assert doc["checks"]["pushforward"] == {"passed": 3, "total": 3, "ok": True}
         assert doc["checks"]["lme"]["ok"] is True and doc["ok"] is True
+        assert "exact path only" in doc["checks"]["lme"]["detail"]
         monkeypatch.setattr(cli, "lme_orthonormal", lambda hg: False)
         code, out, _ = run(capsys, *argv)
         assert code == 2
@@ -395,22 +412,27 @@ class TestExitCodes:
         assert "(FAIL)" in out
 
     def test_corrupted_phase_table_fails_stabilizer_suite(self, capsys, monkeypatch):
-        import hyperqudit.cli as cli
-        from hyperqudit import phase_table
-
-        def corrupted(doc, kind):
-            hg = hypergraph_from_json(doc, kind)
-            table = phase_table(hg).copy()
-            table[5] = (table[5] + 1) % hg.ring.char
-            table.flags.writeable = False
-            hg._phase_table_cache = table
-            return hg
-
-        monkeypatch.setattr(cli, "hypergraph_from_json", corrupted)
+        load_with_corrupted_table(monkeypatch)
         code, out, _ = run(capsys, "state", "verify", str(FIXTURES / "qutrit_e.json"),
                            "--stabilizer")
         assert code == 2
         assert out.strip() == "1/27 stabilizer checks passed (FAIL)"
+
+    @pytest.mark.parametrize("suite, line, passed, total", [
+        ("--pushforward", "1/3 stabilizer pushforward checks passed (FAIL)", 1, 3),
+        ("--covariance", "30/36 covariance checks passed (FAIL)", 30, 36),
+    ])
+    def test_corrupted_phase_table_fails_transport_suites(self, capsys, monkeypatch,
+                                                          suite, line, passed, total):
+        # the identity passes; the swap and the collapse see the corrupted entry
+        load_with_corrupted_table(monkeypatch)
+        argv = ["state", "verify", str(FIXTURES / "qutrit_b.json"), suite]
+        assert run(capsys, *argv) == (2, line + "\n", "")
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["checks"][suite[2:]] == {"passed": passed, "total": total, "ok": False}
 
     def test_json_failure_verdict(self, capsys, monkeypatch):
         import hyperqudit.cli as cli

@@ -278,3 +278,14 @@ class TestLme:
 
     def test_empty_vacuous(self, f3):
         assert lme_check(CalibratedHypergraph.empty(f3, 0))
+
+    def test_passes_any_phase_table(self):
+        # sigma cancels from every pair of Z-translates: the suite checks
+        # flatness and the trace pairing of the ring, not the construction
+        rng = np.random.default_rng(3)
+        for hg in (qutrit_hypergraph("e"), bell_hypergraph(1, 0)):
+            table = rng.integers(0, hg.ring.char, hg.ring.q ** hg.l)
+            table.flags.writeable = False
+            hg._phase_table_cache = table
+            assert lme_orthonormal(hg)
+            assert lme_check(hg)

@@ -4,7 +4,8 @@ Every catalog ring is covered.  Kernel tables are compared entry by entry
 with `RingElement` arithmetic and the scalar index/period, power and trace
 of `tests/oracle.py`; phase tables with the oracle's phase function at
 every configuration; operators, exact inner products and dense builders
-with the per-configuration loops kept in the same module.
+with the per-configuration loops kept in the same module, and the exact
+stabilizer pushforward with the dense matrix loop it replaces.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from hyperqudit import (
     apply_pauli_x,
     apply_pauli_z,
     build_state,
+    check_stabilizer_pushforward,
     equal_up_to_phase,
     fourier_matrix,
     index_period,
@@ -284,6 +286,40 @@ def test_lme_orthonormal_detects_coinciding_translates(monkeypatch):
     hg = CalibratedHypergraph.empty(named_ring("F3"), 2)
     monkeypatch.setattr(hyperstate, "pairing_matrix", lambda ring, l: np.zeros((9, 9), np.int64))
     assert not lme_orthonormal(hg)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_lme_orthonormal_is_the_ring_criterion(name):
+    # for l >= 1 the suite decides sum_x omega^tr(cx) = 0 for every nonzero c
+    ring = named_ring(name)
+    criterion = True
+    for c in ring.elements[1:]:
+        counts = [0] * ring.char
+        for x in ring.elements:
+            counts[oracle.trace(c * x)] += 1
+        criterion &= not any(oracle.cyclotomic_residue(counts, ring.p, ring.r))
+    for l in range(max_grade(ring, 64) + 1):
+        assert lme_orthonormal(CalibratedHypergraph.empty(ring, l)) is (l == 0 or criterion)
+
+
+# -- stabilizer pushforward -------------------------------------------------------------
+
+@pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_stabilizer_pushforward_matches_dense_oracle(name, data):
+    ring = named_ring(name)
+    top = max(l for l in range(7) if ring.q ** l <= 64)
+    l = data.draw(st.integers(0, top))
+    m = data.draw(st.integers(1 if l else 0, top))
+    f = OrdinalMorphism(l, m, tuple(data.draw(st.lists(
+        st.integers(0, max(m - 1, 0)), min_size=l, max_size=l))))
+    hg = data.draw(hypergraphs(ring, l))
+    if data.draw(st.booleans()):
+        table = np.array(data.draw(flat_states(ring, l)).phases)
+        table.flags.writeable = False
+        hg._phase_table_cache = table
+    assert check_stabilizer_pushforward(hg, f) is oracle.stabilizer_pushforward(hg, f)
 
 
 # -- dense builders -------------------------------------------------------------------

@@ -437,6 +437,31 @@ class TestPhaseTableContract:
         assert FlatState.from_table(f3, 1, [1, 2, 1]) != states[0]
         assert FlatState.from_table(f3, 1, [1, 2, 0], norm_exp=0) != states[0]
 
+    def test_cached_table_is_shared_not_copied(self):
+        hg = qutrit_hypergraph("a")
+        psi = build_state(hg)
+        assert psi.phases is phase_table(hg)
+        assert psi.with_phases(psi.phases).phases is psi.phases
+
+    def test_other_arrays_are_copied_and_reduced(self, f3):
+        def frozen(values, dtype=np.int64):
+            out = np.array(values, dtype=dtype)
+            out.flags.writeable = False
+            return out
+
+        inputs = {
+            "writeable": np.array([1, 2, 0], dtype=np.int64),
+            "unreduced": frozen([4, -1, 3]),
+            "int32": frozen([1, 2, 0], np.int32),
+            "view": frozen([0, 2, 1])[::-1],
+            "column": frozen([[1], [2], [0]]),
+        }
+        for name, source in inputs.items():
+            table = FlatState.from_table(f3, 1, source).phases
+            assert table is not source and table.base is not source, name
+            assert table.dtype == np.int64 and not table.flags.writeable, name
+            assert table.tolist() == [1, 2, 0], name
+
 
 class TestSerialization:
     def test_config_index_round_trip(self, f4):
