@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import (
@@ -58,11 +59,55 @@ def _matrix_json(mat) -> list[list[list[int]]]:
     return [[_element_json(e) for e in row] for row in mat]
 
 
-def _print(doc, as_json: bool, text: str | None = None) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(text if text is not None else json.dumps(doc, indent=2, sort_keys=True))
+def _print(doc) -> None:
+    print(_json_text(doc))
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for what the CLI emits.
+
+    Dicts with str keys, lists, tuples, str, int, bool and None; any other
+    type raises TypeError.  With an indent the standard library encodes in
+    pure Python, one generator step per token; here a list of plain ints is
+    one join, memoized per (values, depth) for the document.
+    """
+    return _encode(doc, "\n", {})
+
+
+def _encode(o, indent: str, memo: dict) -> str:
+    """The text of o, whose closing bracket goes after `indent` (newline and spaces)."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        if all(type(v) is int for v in o):
+            key = (tuple(o), indent)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "[" + inner + ("," + inner).join(map(str, o)) + indent + "]"
+            return text
+        return "[" + inner + ("," + inner).join([_encode(v, inner, memo) for v in o]) + indent + "]"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _encode(v, inner, memo)
+            for k, v in sorted(o.items())]) + indent + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -86,7 +131,7 @@ def cmd_ring_info(args) -> int:
         "index_period": cyc,
     }
     if args.json:
-        _print(doc, True)
+        _print(doc)
     else:
         print(f"GR({ring.char},{ring.d}): p={ring.p} r={ring.r} d={ring.d} q={ring.q}")
         print("element  trace  iota  pi  kind")
@@ -105,7 +150,7 @@ def cmd_state_build(args) -> int:
             "basis": psi.basis, "l": psi.l, "norm_exp": psi.norm_exp,
             "char": psi.ring.char, "phases": psi.phases.tolist(),
         }
-        _print(doc, True)
+        _print(doc)
     else:
         sys.stdout.write(emit_state(psi, dense=args.dense))
     return EXIT_OK
@@ -171,7 +216,7 @@ def cmd_state_verify(args) -> int:
                          + ("" if good == len(morphs) else " (FAIL)"))
     ok = all(v["ok"] for v in results.values())
     if args.json:
-        _print({"checks": results, "ok": ok}, True)
+        _print({"checks": results, "ok": ok})
     else:
         for line in lines:
             print(line)
@@ -188,7 +233,7 @@ def cmd_reduce(args) -> int:
         "chart": list(chart.values),
         "core": hypergraph_to_json(core),
     }
-    _print(doc, True)
+    _print(doc)
     return EXIT_OK
 
 
@@ -224,7 +269,7 @@ def cmd_classify(args) -> int:
             })
     doc = {"classes": [
         {k: v for k, v in cls.items() if k != "_rep"} for cls in classes]}
-    _print(doc, True)
+    _print(doc)
     return EXIT_OK
 
 
@@ -247,7 +292,7 @@ def cmd_convert(args) -> int:
         hg = poly_to_calibrated(ring, l, tau)
     else:
         raise HyperquditError(f"unsupported conversion source {args.source!r}")
-    _print(hypergraph_to_json(hg), True)
+    _print(hypergraph_to_json(hg))
     return EXIT_OK
 
 
@@ -267,7 +312,7 @@ def cmd_matrices(args) -> int:
         "generator_polynomials": polys,
     }
     if args.json:
-        _print(doc, True)
+        _print(doc)
     else:
         def render_matrix(name, mat):
             print(name)

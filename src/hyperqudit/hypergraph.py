@@ -159,14 +159,14 @@ def exp_pushforward(f: OrdinalMorphism, edge: Edge, w: ExpFunc, ring: GaloisRing
     """Push an exponent function on `edge` forward along f.
 
     The value at an image vertex is the cyclicity-monoid sum of the
-    values over its preimages in the edge.
+    values over its preimages in the edge.  Only the stored nonzero
+    values are added, in vertex order: zero is the monoid identity.
     """
     if any(v not in edge for v in w.support()):
         raise DomainMismatch(f"exponent function {w} not supported on edge {edge}")
     acc: dict[int, CycExponent] = {}
-    for r in edge:
+    for r, u in w.items:
         s = f(r)
-        u = w.value(r, ring)
         acc[s] = exp_add(acc[s], u) if s in acc else u
     return ExpFunc.make(acc)
 

@@ -22,8 +22,11 @@ are trace pairings, in which sigma cancels, so any phase table passes
 exactly when sum_x omega^tr(cx) = 0 for every nonzero c in the ring.
 
 Whole tables are computed with gathers through the ring kernel (see
-:class:`hyperqudit.galois.RingKernel`); ``phase_function`` is the
-scalar definition of sigma at one configuration.
+:class:`hyperqudit.galois.RingKernel`).  ``sigma_columns`` evaluates
+the definition of sigma at any set of configurations at once, every
+vertex of every stored entry included; ``phase_function`` is its
+one-configuration case, and the stabilizer suite evaluates it at all
+q^l configurations to check the phase table against.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import itertools
 
 import numpy as np
 
-from .cyclicity import power
 from .errors import GradeMismatch, TooLarge, WrongBasis
 from .galois import grid_size
 from .hypergraph import CalibratedHypergraph, OrdinalMorphism, apply_morphism
@@ -40,7 +42,6 @@ from .states import (
     COMPUTATIONAL,
     Configuration,
     FlatState,
-    all_configurations,
     apply_he_morphism,
     apply_pauli_z,
     cyclotomic_residues,
@@ -56,6 +57,7 @@ from .states import (
 
 __all__ = [
     "phase_function",
+    "sigma_columns",
     "phase_table",
     "build_state",
     "apply_d",
@@ -74,13 +76,26 @@ def phase_function(hg: CalibratedHypergraph, x: Configuration) -> int:
     """sigma(x): sum over stored entries of value * tr(prod of generalized powers)."""
     if len(x) != hg.l:
         raise GradeMismatch("configuration grade does not match the hypergraph")
+    column = np.array(label_indices(hg.ring, x, hg.l), dtype=np.intp).reshape(hg.l, 1)
+    return int(sigma_columns(hg, column)[0])
+
+
+def sigma_columns(hg: CalibratedHypergraph, configs: np.ndarray) -> np.ndarray:
+    """sigma at every column of an (l, n) array of element indices, by the definition.
+
+    For each stored entry the powers x_r^w(r) over every vertex r of its
+    edge, zero exponents included, are multiplied through the kernel and
+    traced; the values are summed mod p^r.  Nothing is shared with
+    `phase_table`, so each can check the other.
+    """
     ring = hg.ring
-    total = 0
+    k = ring.kernel
+    total = np.zeros(configs.shape[1], dtype=np.int64)
     for edge, w, val in hg.stored_entries():
-        prod = ring.one
+        prod = np.ones(configs.shape[1], dtype=np.intp)  # index 1 is the unit
         for r in edge:
-            prod = prod * power(x[r], w.value(r, ring))
-        total += val * ring.trace(prod)
+            prod = k.mul[prod, k.power_values(w.value(r, ring).items)[configs[r]]]
+        total += val * k.trace[prod]
     return total % ring.char
 
 
@@ -253,16 +268,18 @@ def lme_check(hg: CalibratedHypergraph, tol: float = 1e-9) -> bool:
     The second path, the paper's dense cross-check, extends the state
     with Z-translates against Fourier kets and checks the first-factor
     reduced density against I / q^l; it needs q^(2l) dense amplitudes and
-    raises TooLarge above the cap.  Like the first path it depends on the
-    ring and l only: the reduced density is diagonal for every sigma.
+    raises TooLarge above the cap, before the first path runs, so a caller
+    that falls back to `lme_orthonormal` runs it once.  Like the first
+    path it depends on the ring and l only: the reduced density is
+    diagonal for every sigma.
     """
-    if not lme_orthonormal(hg):
-        return False
     ring = hg.ring
-    dim = ring.q ** hg.l
+    dim = grid_size(ring.q, hg.l, "the reduced-density path")
     # each column is a dense expansion of dimension dim, which the cap bounds too
     if dim * dim > max(4096, 4 * dense_cap()) or dim > dense_cap():
         raise TooLarge("reduced-density path exceeds the dense cap")
+    if not lme_orthonormal(hg):
+        return False
     # rows: first factor, columns: extension label a, entries the dense
     # amplitudes of Z(a) applied to the state, scaled by dim^(-1/2)
     exponents = (pairing_matrix(ring, hg.l) + phase_table(hg)[:, None]) % ring.char
@@ -274,16 +291,24 @@ def lme_check(hg: CalibratedHypergraph, tol: float = 1e-9) -> bool:
 def stabilizer_fixes_state(hg: CalibratedHypergraph) -> tuple[int, int]:
     """Count how many stabilizer operators leave the hypergraph state invariant.
 
-    The state checked is built from the definition, `phase_function` at
-    every configuration, while the operators use the phase table; so a
-    table that differs from sigma by more than a constant fails labels.
+    The state checked is built from the definition, `sigma_columns` at
+    all q^l configurations at once, while the operators use the phase
+    table; so a table that differs from sigma by more than a constant
+    fails labels.  When the two differ by a constant mod p^r every label
+    passes, which one O(q^l) comparison decides; otherwise each label is
+    applied in turn.
     """
     ring, l = hg.ring, hg.l
     grid_size(ring.q, 2 * l, "the stabilizer suite")
+    n = ring.q ** l
     sigma = phase_table(hg)
-    psi = reduced_table([phase_function(hg, x) for x in all_configurations(ring, l)], ring.char)
+    configs = np.indices((ring.q,) * l, dtype=np.intp).reshape(l, n)
+    psi = reduced_table(sigma_columns(hg, configs), ring.char)
+    offset = (psi - sigma) % ring.char
+    if (offset == offset[0]).all():
+        return n, n
     good = 0
     for a_idx in itertools.product(range(ring.q), repeat=l):
         moved = _stabilized(psi, sigma, ring, a_idx) % ring.char
         good += bool(np.array_equal(moved, psi))
-    return good, ring.q ** l
+    return good, n

@@ -9,6 +9,8 @@ so that nothing below is checked against the kernel itself.  The
 dense stabilizer pushforward is the matrix identity the package reduces
 to a table comparison, checked label by label on the package's dense
 matrices, which are themselves compared with the loops here.  The
+exponent pushforward walks every vertex of the edge, where the package
+adds only the stored nonzero values.  The
 field-polynomial matrices at the end are the same kind of loop over
 matrix entries, and congruence and isotropy at the very end try every
 vertex permutation through the functorial action.  They are slow and
@@ -23,6 +25,7 @@ import hyperqudit.hyperstate as hyperstate
 from hyperqudit import (
     COMPUTATIONAL,
     HADAMARD,
+    ExpFunc,
     FieldPolynomial,
     FlatState,
     OrdinalMorphism,
@@ -30,6 +33,7 @@ from hyperqudit import (
     apply_morphism,
     config_index,
     ef_transpose,
+    exp_add,
     special_exponents,
 )
 from hyperqudit.errors import Singular
@@ -266,6 +270,18 @@ def stabilizer_pushforward(hg, f, tol=1e-9):
         if not np.allclose(lhs, scale * rhs, atol=tol):
             return False
     return True
+
+
+# -- exponent pushforward ----------------------------------------------------------------
+
+def exp_pushforward(f, edge, w, ring):
+    """Push w forward along f by walking every vertex of the edge, zero values included."""
+    acc = {}
+    for r in edge:
+        s = f(r)
+        u = w.value(r, ring)
+        acc[s] = exp_add(acc[s], u) if s in acc else u
+    return ExpFunc.make(acc)
 
 
 # -- field-polynomial matrices ----------------------------------------------------------

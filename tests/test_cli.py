@@ -4,7 +4,9 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperqudit import (
     OrdinalMorphism,
@@ -292,6 +294,24 @@ class TestDenseCap:
         assert out == ""
         assert err.startswith("error: ") and "HGS_DENSE_CAP" in err
 
+    def test_capped_lme_runs_the_exact_path_once(self, capsys, monkeypatch):
+        import hyperqudit.hyperstate as hyperstate
+
+        calls = []
+        exact = hyperstate.lme_orthonormal
+
+        def counting(hg):
+            calls.append(hg)
+            return exact(hg)
+
+        monkeypatch.setattr(cli, "lme_orthonormal", counting)
+        monkeypatch.setattr(hyperstate, "lme_orthonormal", counting)
+        monkeypatch.setenv("HGS_DENSE_CAP", "4")
+        code, out, _ = run(capsys, "state", "verify", str(FIXTURES / "qutrit_b.json"), "--lme")
+        assert code == 0
+        assert out == "lme passed (exact path only (dense path over cap))\n"
+        assert len(calls) == 1
+
     def test_too_large_guard(self, f3, monkeypatch):
         from hyperqudit.errors import TooLarge
         from hyperqudit.states import to_dense
@@ -442,3 +462,71 @@ class TestExitCodes:
                            str(FIXTURES / "bell_00.json"), "--covariance")
         assert code == 2
         assert json.loads(out)["ok"] is False
+
+
+# -- the indented JSON writer ---------------------------------------------------------
+
+JSON_TEXT = st.one_of(st.text(), st.sampled_from(["", "\"\\/\b\f\n\r\t\x00\x1f", "é",
+                                                  "\u2028\u2029", "\U0001f600", "\ud800"]))
+JSON_INTS = st.one_of(st.integers(), st.sampled_from([0, -1, 2 ** 63, 2 ** 64 + 1, -2 ** 63 - 1]))
+JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_INTS, JSON_TEXT),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(JSON_INTS, max_size=4),
+        st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=24)
+
+# argv templates with the fixture path at {}; a call the fixture does not suit exits 1
+JSON_COMMANDS = [
+    ["ring", "info", "{}"], ["state", "build", "{}"], ["state", "verify", "{}"],
+    ["reduce", "{}"], ["matrices", "{}"], ["convert", "{}", "--from", "weighted"],
+    ["convert", "{}", "--from", "marked"], ["convert", "{}", "--from", "poly"],
+]
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_repeated_int_lists_at_different_depths(self):
+        row = [0, 1]
+        doc = {"a": [row, row, [2], (0, 1)], "b": row, "c": [[True, 1], [1, 1], []], "d": {}}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [
+        1.5, [0, 2.0], {"x": np.int64(3)}, [np.int64(3)], np.bool_(True), {1: 2},
+        {"a": {None: 0}}, {1, 2},
+    ])
+    def test_refuses_other_types(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_fixture_output_is_json_dumps(self, capsys, monkeypatch, fixture):
+        docs = []
+        printed = cli._print
+        monkeypatch.setattr(cli, "_print", lambda doc: (docs.append(doc), printed(doc)))
+        checked = 0
+        for template in JSON_COMMANDS:
+            argv = [str(FIXTURES / fixture) if a == "{}" else a for a in template]
+            seen = len(docs)
+            code, out, _ = run(capsys, "--json", *argv)
+            if len(docs) > seen:
+                assert code == 0
+                assert out == json.dumps(docs[-1], indent=2, sort_keys=True) + "\n"
+                checked += 1
+        assert checked
+
+    def test_classify_output_is_json_dumps(self, capsys, monkeypatch, tmp_path):
+        for path in [*FIXTURES.glob("bell_*.json"), *FIXTURES.glob("qutrit_*.json")]:
+            (tmp_path / path.name).write_text(path.read_text())
+        docs = []
+        printed = cli._print
+        monkeypatch.setattr(cli, "_print", lambda doc: (docs.append(doc), printed(doc)))
+        code, out, _ = run(capsys, "--json", "classify", str(tmp_path))
+        assert code == 0 and len(docs) == 1
+        assert out == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"

@@ -33,6 +33,7 @@ from hyperqudit import (
     build_state,
     check_stabilizer_pushforward,
     equal_up_to_phase,
+    exp_pushforward,
     fourier_matrix,
     index_period,
     lme_orthonormal,
@@ -147,6 +148,24 @@ def test_phase_table_matches_phase_function(name, data):
         assert table[i] == phase_function(hg, x)
 
 
+@pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_sigma_columns_match_oracle_phase_function(name, data):
+    """The stabilizer suite's batched definition of sigma, at every configuration
+    and at columns drawn in any order with repeats, against the scalar loop."""
+    ring = named_ring(name)
+    l = data.draw(st.integers(0, max_grade(ring, 512)))
+    hg = data.draw(hypergraphs(ring, l))
+    configs = list(all_configurations(ring, l))
+    expected = [oracle.phase_function(hg, x) for x in configs]
+    grid = np.array([[ring.index(e) for e in x] for x in configs],
+                    dtype=np.intp).reshape(len(configs), l).T
+    assert hyperstate.sigma_columns(hg, grid).tolist() == expected
+    picks = data.draw(st.lists(st.integers(0, len(configs) - 1), max_size=6))
+    assert hyperstate.sigma_columns(hg, grid[:, picks]).tolist() == [expected[i] for i in picks]
+
+
 def test_phase_table_refuses_oversized_grade(f3):
     hg = CalibratedHypergraph(f3, 40, edges=[(0, 1)])
     assert f3.q ** 40 > EXACT_CAP
@@ -189,7 +208,7 @@ def test_paulis_and_stabilizers_match_oracle(name, data):
 def test_stabilizer_suite_matches_per_label_loop(name, data):
     """The suite's count equals stabilizer_apply(hg, a, psi) == psi over every label a.
 
-    The state the suite builds from phase_function is replaced by sigma
+    The state the suite builds from sigma_columns is replaced by sigma
     plus an offset table, so that labels fail as well: the offset is
     random, or depends on a subset of the vertices only, in which case
     labels zero on that subset still pass.
@@ -203,7 +222,7 @@ def test_stabilizer_suite_matches_per_label_loop(name, data):
         offset = np.take(offset, [0] * ring.q, axis=v)  # constant along vertex v
     psi = build_state(hg).with_phases((sigma + offset).reshape(-1))
     monkeypatch = pytest.MonkeyPatch()
-    monkeypatch.setattr(hyperstate, "phase_function", lambda graph, x: psi.phase_at(x))
+    monkeypatch.setattr(hyperstate, "sigma_columns", lambda graph, configs: psi.phases)
     try:
         counts = hyperstate.stabilizer_fixes_state(hg)
     finally:
@@ -320,6 +339,27 @@ def test_stabilizer_pushforward_matches_dense_oracle(name, data):
         table.flags.writeable = False
         hg._phase_table_cache = table
     assert check_stabilizer_pushforward(hg, f) is oracle.stabilizer_pushforward(hg, f)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_exp_pushforward_matches_edge_walk(name, data):
+    """Adding only the stored values equals the walk over every vertex of the edge."""
+    ring = named_ring(name)
+    l = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(["permutation", "collapse", "any"]))
+    if kind == "permutation":
+        m, values = l, data.draw(st.permutations(range(l)))
+    else:
+        m = data.draw(st.integers(1, l - 1 if kind == "collapse" and l > 1 else l + 2))
+        values = data.draw(st.lists(st.integers(0, m - 1), min_size=l, max_size=l))
+    f = OrdinalMorphism(l, m, tuple(values))
+    edge = tuple(sorted(data.draw(st.sets(st.integers(0, l - 1), min_size=1))))
+    dense = data.draw(st.booleans())
+    support = data.draw(st.lists(st.sampled_from(edge), unique=True))
+    w = ExpFunc.make({v: data.draw(exponents(ring, dense)) for v in support})
+    assert exp_pushforward(f, edge, w, ring) == oracle.exp_pushforward(f, edge, w, ring)
 
 
 # -- dense builders -------------------------------------------------------------------
