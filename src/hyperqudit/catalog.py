@@ -28,21 +28,21 @@ __all__ = [
     "QUTRIT_LABELS",
 ]
 
-RING_CATALOG: dict[str, tuple[int, int, int, tuple[int, ...], bool]] = {
-    # name: (p, r, d, modulus, find_primitive)
-    "F2": (2, 1, 1, (0, 1), True),
-    "F3": (3, 1, 1, (0, 1), True),
-    "F4": (2, 1, 2, (1, 1, 1), True),
-    "F5": (5, 1, 1, (0, 1), True),
-    "F7": (7, 1, 1, (0, 1), True),
-    "F8": (2, 1, 3, (1, 1, 0, 1), True),
-    "F9": (3, 1, 2, (2, 1, 1), True),
-    "F16": (2, 1, 4, (1, 1, 0, 0, 1), True),
-    "Z4": (2, 2, 1, (0, 1), True),
-    "Z8": (2, 3, 1, (0, 1), True),
-    "Z9": (3, 2, 1, (0, 1), True),
-    "GR(4,2)": (2, 2, 2, (1, 1, 1), True),
-    "GR(4,3)": (2, 2, 3, (3, 1, 2, 1), True),
+RING_CATALOG: dict[str, tuple[int, int, int, tuple[int, ...]]] = {
+    # name: (p, r, d, modulus), the arguments of make_ring
+    "F2": (2, 1, 1, (0, 1)),
+    "F3": (3, 1, 1, (0, 1)),
+    "F4": (2, 1, 2, (1, 1, 1)),
+    "F5": (5, 1, 1, (0, 1)),
+    "F7": (7, 1, 1, (0, 1)),
+    "F8": (2, 1, 3, (1, 1, 0, 1)),
+    "F9": (3, 1, 2, (2, 1, 1)),
+    "F16": (2, 1, 4, (1, 1, 0, 0, 1)),
+    "Z4": (2, 2, 1, (0, 1)),
+    "Z8": (2, 3, 1, (0, 1)),
+    "Z9": (3, 2, 1, (0, 1)),
+    "GR(4,2)": (2, 2, 2, (1, 1, 1)),
+    "GR(4,3)": (2, 2, 3, (3, 1, 2, 1)),
 }
 
 _cache: dict[str, GaloisRing] = {}
@@ -53,8 +53,7 @@ def named_ring(name: str) -> GaloisRing:
     if key not in RING_CATALOG:
         raise UnknownRing(f"unknown ring {name!r}; catalog: {sorted(RING_CATALOG)}")
     if key not in _cache:
-        p, r, d, modulus, find = RING_CATALOG[key]
-        _cache[key] = make_ring(p, r, d, modulus, find_primitive=find)
+        _cache[key] = make_ring(*RING_CATALOG[key])
     return _cache[key]
 
 

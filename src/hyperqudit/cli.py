@@ -114,31 +114,23 @@ def _encode(o, indent: str, memo: dict) -> str:
 
 def cmd_ring_info(args) -> int:
     ring = ring_from_descriptor(_load_json(args.ring))
-    units, nilpotents = [], []
-    cyc = []
-    traces = []
-    for e in ring.elements:
-        (units if ring.is_unit(e) else nilpotents).append(_element_json(e))
-        iota, pi = index_period(e)
-        cyc.append([_element_json(e), iota, pi])
-        traces.append([_element_json(e), ring.trace(e)])
-    doc = {
-        "p": ring.p, "r": ring.r, "d": ring.d, "q": ring.q,
-        "modulus": list(ring.modulus),
-        "trace": traces,
-        "units": units,
-        "nilpotents": nilpotents,
-        "index_period": cyc,
-    }
+    rows = [(e, ring.trace(e), *index_period(e), ring.is_unit(e)) for e in ring.elements]
     if args.json:
-        _print(doc)
+        rows = [(_element_json(e), *data) for e, *data in rows]
+        _print({
+            "p": ring.p, "r": ring.r, "d": ring.d, "q": ring.q,
+            "modulus": list(ring.modulus),
+            "trace": [[e, t] for e, t, _, _, _ in rows],
+            "units": [e for e, *_, unit in rows if unit],
+            "nilpotents": [e for e, *_, unit in rows if not unit],
+            "index_period": [[e, iota, pi] for e, _, iota, pi, _ in rows],
+        })
     else:
         print(f"GR({ring.char},{ring.d}): p={ring.p} r={ring.r} d={ring.d} q={ring.q}")
         print("element  trace  iota  pi  kind")
-        for e in ring.elements:
-            iota, pi = index_period(e)
-            kind = "unit" if ring.is_unit(e) else "nilpotent"
-            print(f"{render_element(e):>8}  {ring.trace(e):>5}  {iota:>4}  {pi:>2}  {kind}")
+        for e, t, iota, pi, unit in rows:
+            kind = "unit" if unit else "nilpotent"
+            print(f"{render_element(e):>8}  {t:>5}  {iota:>4}  {pi:>2}  {kind}")
     return EXIT_OK
 
 

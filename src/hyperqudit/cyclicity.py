@@ -72,10 +72,14 @@ def monoid_add(x: RingElement, u: int, v: int) -> int:
 
 def embed(x: RingElement, q_exp: int, u: int) -> int:
     """Monomorphism from the cyclic monoid of x^q_exp into that of x: u -> h_x(q_exp*u)."""
-    iota_q, pi_q = index_period(x ** q_exp)
-    if not 0 <= u < iota_q + pi_q:
+    if q_exp < 0:
+        raise OutOfRange(f"negative ring power {q_exp}")
+    k = x.ring.kernel
+    iota, pi = index_period(x)
+    y = k.powers.item(x.ring.index(x), reduce_exponents(iota, pi, q_exp))  # index of x^q_exp
+    if not 0 <= u < k.iota.item(y) + k.period.item(y):
         raise OutOfRange(f"{u} not in the cyclic monoid of x^{q_exp}")
-    return reduce_exponent(x, q_exp * u)
+    return reduce_exponents(iota, pi, q_exp * u)
 
 
 @dataclass(frozen=True, eq=False)

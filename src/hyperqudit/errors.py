@@ -24,7 +24,7 @@ class RingMismatch(HyperquditError):
 
 
 class NoPrimitiveElement(HyperquditError):
-    """Operation needs a primitive element but the ring has none cached."""
+    """The ring's kernel has no unit of order p^d - 1; a valid Galois ring always has one."""
 
 
 class UnknownRing(HyperquditError):

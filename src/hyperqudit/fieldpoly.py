@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclicity import CycExponent, reduce_exponents
-from .errors import DegreeTooHigh, NoPrimitiveElement, NotField, RingMismatch, Singular
+from .errors import DegreeTooHigh, NotField, RingMismatch, Singular
 from .galois import GaloisRing, RingElement, RingKernel
 
 __all__ = [
@@ -158,11 +158,8 @@ def _power_indices(ring: GaloisRing) -> np.ndarray:
 
 def _power_inverse_indices(ring: GaloisRing) -> np.ndarray:
     k = _kernel(ring)
-    xi = ring.primitive_theta
-    if xi is None:
-        raise NoPrimitiveElement("inverse power matrix needs a primitive element")
     q = ring.q
-    xi_powers = k.powers[ring.index(xi), :q - 1]  # xi has period q - 1
+    xi_powers = k.powers[ring.index(ring.primitive_theta), :q - 1]  # xi has period q - 1
 
     # the blocks in xi-power order (0, 1, xi, ..., xi^(q-2)): row 0 is e_0;
     # row k + 1 is -xi^((q-2-k) m) in column m + 1, and -1 in column 0 for k = q - 2

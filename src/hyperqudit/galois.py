@@ -15,14 +15,13 @@ that order.
 
 Scalar :class:`RingElement` arithmetic is the API and JSON boundary.
 Every derived per-element table (the trace, each element's powers,
-index and period) comes only from the :class:`RingKernel`: integer
-index tables over the canonical order, built with numpy on first use
-and shared by every ring with the same key.  The Frobenius-sum trace
-is kept as the independent cross-check the paper states, and the
-multiplicative order and the primitive-element search run on scalars
-because they are needed at construction, before any kernel exists.
-Rings are capped at q^2 <= EXACT_CAP, so every ring that can be
-constructed has a kernel.
+index and period, hence the multiplicative order and the primitive
+element) comes only from the :class:`RingKernel`: integer index tables
+over the canonical order, built with numpy on first use and shared by
+every ring with the same key.  The one scalar path left is the
+Frobenius-sum trace, kept as the independent cross-check the paper
+states.  Rings are capped at q^2 <= EXACT_CAP, so every ring that can
+be constructed has a kernel.
 """
 
 from __future__ import annotations
@@ -206,10 +205,10 @@ class GaloisRing:
     Instances are immutable after construction apart from the idempotent,
     lazily populated Teichmueller digit table; they are safe to share.
     Rings with q^2 above EXACT_CAP are refused before anything is enumerated.
+    Construction builds no kernel.
     """
 
-    def __init__(self, p: int, r: int, d: int, modulus: tuple[int, ...],
-                 find_primitive: bool | None = None):
+    def __init__(self, p: int, r: int, d: int, modulus: tuple[int, ...]):
         if p < 2 or r < 1 or d < 1:
             raise BadCoefficient(f"p = {p}, r = {r}, d = {d}: need a prime p and positive r, d")
         # the kernel's q x q tables, bounded before p is tested or any element listed
@@ -247,12 +246,6 @@ class GaloisRing:
         )
         self._index = {e.coeffs: i for i, e in enumerate(self.elements)}
         self._digit_cache: dict[tuple[int, ...], tuple[RingElement, ...]] = {}
-
-        self.primitive_theta: RingElement | None = None
-        if find_primitive is None:
-            find_primitive = (r == 1)
-        if find_primitive:
-            self.primitive_theta = self._find_primitive()
 
     # -- basics ---------------------------------------------------------------
 
@@ -301,51 +294,39 @@ class GaloisRing:
         return not self.is_unit(x)
 
     def multiplicative_order(self, x: RingElement) -> int | None:
-        """Order of x in the unit group, or None for a non-unit."""
+        """Order of x in the unit group, or None for a non-unit; read from the kernel."""
         if not self.is_unit(x):
             return None
-        n, y = 1, x
-        while y != self.one:
-            y = y * x
-            n += 1
-        return n
+        return self.kernel.period.item(self.index(x))
 
-    def _find_primitive(self) -> RingElement | None:
-        target = self.p ** self.d - 1
-        for e in self.elements[1:]:
-            if self.multiplicative_order(e) == target and self._teichmuller_ok(e):
-                return e
-        return None
+    @property
+    def primitive_theta(self) -> RingElement:
+        """The first element in canonical order with kernel index 0 and period p^d - 1.
 
-    def _teichmuller_set(self, theta: RingElement) -> list[RingElement]:
-        out = [self.zero, self.one]
-        y = theta
-        for _ in range(self.p ** self.d - 2):
-            out.append(y)
-            y = y * theta
-        return out
-
-    def _teichmuller_ok(self, theta: RingElement) -> bool:
-        """{0} U {theta^i} must reduce bijectively onto the residue field."""
-        seen = {tuple(c % self.p for c in t.coeffs) for t in self._teichmuller_set(theta)}
-        return len(seen) == self.p ** self.d
+        That is a unit of order p^d - 1.  The order is prime to p, and the
+        unit group is the cyclic Teichmueller group times the p-group
+        1 + pR, so theta generates the Teichmueller group: {0} U {theta^i}
+        maps onto the residue field.
+        """
+        k = self.kernel
+        hits = np.flatnonzero((k.iota == 0) & (k.period == self.p ** self.d - 1))
+        if not hits.size:
+            raise NoPrimitiveElement(f"{self} has no unit of order {self.p ** self.d - 1}")
+        return self.elements[hits[0]]
 
     # -- p-adic / Teichmueller representation ----------------------------------
 
     def p_adic_digits(self, x: RingElement) -> tuple[RingElement, ...]:
         """Digits (a_0, ..., a_{r-1}), each in {0} U {theta^i}, with sum a_k p^k = x."""
-        if self.primitive_theta is None:
-            raise NoPrimitiveElement("ring has no primitive element cached")
         if not self._digit_cache:
-            tset = self._teichmuller_set(self.primitive_theta)
+            powers = self.kernel.powers[self.index(self.primitive_theta), :self.p ** self.d - 1]
+            tset = [self.zero, *(self.elements[i] for i in powers.tolist())]
             table: dict[tuple[int, ...], tuple[RingElement, ...]] = {}
             for digits in itertools.product(tset, repeat=self.r):
                 acc = self.zero
                 for alpha, a in enumerate(digits):
                     acc = acc + a.scale(self.p ** alpha)
                 table.setdefault(acc.coeffs, digits)
-            if len(table) != self.q:
-                raise NoPrimitiveElement("Teichmueller set does not separate the ring")
             self._digit_cache.update(table)
         return self._digit_cache[x.coeffs]
 
@@ -469,15 +450,15 @@ def _build_kernel(ring: GaloisRing) -> RingKernel:
     return kernel
 
 
-def make_ring(p: int, r: int, d: int, modulus, find_primitive: bool | None = None) -> GaloisRing:
+def make_ring(p: int, r: int, d: int, modulus) -> GaloisRing:
     """Construct and validate GR(p^r, d) with the given monic modulus.
 
     The modulus is given least-significant coefficient first and must have
-    d + 1 coefficients in [0, p^r).  A primitive element (multiplicative
-    order p^d - 1, generating a valid Teichmueller digit set) is searched
-    for exhaustively when r = 1 or when `find_primitive` is set.
+    d + 1 coefficients in [0, p^r).  Nothing is enumerated beyond the
+    element list: the primitive element and the unit orders are read from
+    the ring's kernel when first asked for.
     """
-    return GaloisRing(p, r, d, tuple(int(c) for c in modulus), find_primitive=find_primitive)
+    return GaloisRing(p, r, d, tuple(int(c) for c in modulus))
 
 
 # -- descriptor (de)serialization ---------------------------------------------
@@ -500,5 +481,4 @@ def ring_from_descriptor(desc: dict) -> GaloisRing:
         modulus = [exact_int(c) for c in desc["modulus"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadCoefficient(f"malformed ring descriptor: {desc!r}") from exc
-    find = desc.get("find_primitive")
-    return make_ring(p, r, d, modulus, find_primitive=find)
+    return make_ring(p, r, d, modulus)

@@ -155,7 +155,7 @@ class ExpFunc:
         return "ExpFunc(" + ", ".join(f"{v}:{u.to_dense()}" for v, u in self.items) + ")"
 
 
-def exp_pushforward(f: OrdinalMorphism, edge: Edge, w: ExpFunc, ring: GaloisRing) -> ExpFunc:
+def exp_pushforward(f: OrdinalMorphism, edge: Edge, w: ExpFunc) -> ExpFunc:
     """Push an exponent function on `edge` forward along f.
 
     The value at an image vertex is the cyclicity-monoid sum of the
@@ -323,11 +323,10 @@ def apply_morphism(f: OrdinalMorphism, hg: CalibratedHypergraph) -> CalibratedHy
     """The functorial action: image hypergraph with pushed-forward calibration."""
     if f.source_size != hg.l:
         raise SizeMismatch(f"morphism source {f.source_size} != hypergraph grade {hg.l}")
-    ring = hg.ring
+    images = {e: f.image_edge(e) for e in hg.edges}
     return CalibratedHypergraph(
-        ring, f.target_size, edges=[f.image_edge(e) for e in hg.edges],
-        entries=((f.image_edge(e), exp_pushforward(f, e, w, ring), val)
-                 for e, w, val in hg.stored_entries()))
+        hg.ring, f.target_size, edges=images.values(),
+        entries=((images[e], exp_pushforward(f, e, w), val) for e, w, val in hg.stored_entries()))
 
 
 def monadic_product(a: CalibratedHypergraph, b: CalibratedHypergraph) -> CalibratedHypergraph:

@@ -167,11 +167,15 @@ def basis_state(hg: CalibratedHypergraph, a: Configuration) -> FlatState:
     return apply_pauli_z(a, build_state(hg))
 
 
+def _transport_pair(hg: CalibratedHypergraph, f: OrdinalMorphism) -> tuple[FlatState, FlatState]:
+    """The transported state of hg and the state of the transported hypergraph f(hg)."""
+    return apply_he_morphism(f, build_state(hg)), build_state(apply_morphism(f, hg))
+
+
 def check_covariance(hg: CalibratedHypergraph, f: OrdinalMorphism) -> bool:
     """Exact equality of the transported state and the state of the transported hypergraph."""
-    lhs = apply_he_morphism(f, build_state(hg))
-    rhs = build_state(apply_morphism(f, hg))
-    return lhs == rhs
+    transported, image = _transport_pair(hg, f)
+    return transported == image
 
 
 # -- dense operator matrices (computational-basis index order) --------------------
@@ -220,9 +224,7 @@ def check_stabilizer_pushforward(hg: CalibratedHypergraph, f: OrdinalMorphism) -
     image state up to a global phase: an O(q^l + q^m) comparison of
     integer tables.
     """
-    grid_size(hg.ring.q, max(f.source_size, f.target_size), "the stabilizer pushforward check")
-    transported = apply_he_morphism(f, build_state(hg))
-    return equal_up_to_phase(transported, build_state(apply_morphism(f, hg))) is not None
+    return equal_up_to_phase(*_transport_pair(hg, f)) is not None
 
 
 # -- local maximal entangleability ---------------------------------------------

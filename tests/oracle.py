@@ -3,12 +3,14 @@
 These are the per-configuration loops over ring elements that the
 package's numpy paths replace: each walks configurations one at a time
 with `RingElement` arithmetic and `config_index`.  The per-element data
-the package reads from its ring kernel (index and period, generalized
-powers, the trace) is recomputed here from scalar multiplication alone,
-so that nothing below is checked against the kernel itself.  The
-dense stabilizer pushforward is the matrix identity the package reduces
-to a table comparison, checked label by label on the package's dense
-matrices, which are themselves compared with the loops here.  The
+the package reads from its ring kernel (index and period, the
+multiplicative order, the primitive element with its Teichmueller check,
+generalized powers, the trace) is recomputed here from scalar
+multiplication alone, so that nothing below is checked against the
+kernel itself.  The dense stabilizer pushforward is the matrix identity
+the package reduces to a table comparison, checked label by label on
+the package's dense matrices, which are themselves compared with the
+loops here.  The
 exponent pushforward walks every vertex of the edge, where the package
 adds only the stored nonzero values.  The
 field-polynomial matrices at the end are the same kind of loop over
@@ -51,6 +53,42 @@ def index_period(x):
         y = y * x
     iota = seen[y.coeffs]
     return iota, len(seen) - iota
+
+
+def multiplicative_order(x):
+    """Order of x in the unit group by repeated multiplication, or None for a non-unit."""
+    if not x.ring.is_unit(x):
+        return None
+    n, y = 1, x
+    while y != x.ring.one:
+        y = y * x
+        n += 1
+    return n
+
+
+def _teichmuller_set(ring, theta):
+    """0, 1, theta, ..., theta^(p^d - 2)."""
+    out = [ring.zero, ring.one]
+    y = theta
+    for _ in range(ring.p ** ring.d - 2):
+        out.append(y)
+        y = y * theta
+    return out
+
+
+def _teichmuller_ok(ring, theta):
+    """{0} U {theta^i} must reduce bijectively onto the residue field."""
+    seen = {tuple(c % ring.p for c in t.coeffs) for t in _teichmuller_set(ring, theta)}
+    return len(seen) == ring.p ** ring.d
+
+
+def primitive_theta(ring):
+    """The first nonzero element of order p^d - 1 whose powers reduce onto the residue field."""
+    target = ring.p ** ring.d - 1
+    for e in ring.elements[1:]:
+        if multiplicative_order(e) == target and _teichmuller_ok(ring, e):
+            return e
+    return None
 
 
 def power(x, u):
@@ -300,7 +338,7 @@ def power_matrix(ring):
 
 def power_matrix_inverse(ring):
     """The closed block formula in the order (0, 1, xi, ...), columns permuted back."""
-    xi = ring.primitive_theta
+    xi = primitive_theta(ring)
     q = ring.q
     minus_one = -ring.one
     order = [ring.zero, ring.one]
@@ -318,8 +356,8 @@ def power_matrix_inverse(ring):
     return tuple(tuple(block[k][pos[x.coeffs]] for x in ring.elements) for k in range(q))
 
 
-def _field_inverse(ring, x):
-    return x ** (ring.multiplicative_order(x) - 1)
+def _field_inverse(x):
+    return x ** (multiplicative_order(x) - 1)
 
 
 def gaussian_inverse(ring, mat):
@@ -331,7 +369,7 @@ def gaussian_inverse(ring, mat):
         if pivot is None:
             raise Singular("matrix is singular over the field")
         work[col], work[pivot] = work[pivot], work[col]
-        inv = _field_inverse(ring, work[col][col])
+        inv = _field_inverse(work[col][col])
         work[col] = [inv * v for v in work[col]]
         for i in range(n):
             if i != col and not work[i][col].is_zero():

@@ -155,11 +155,18 @@ class TestEmbed:
         assert embed(two, 2, 1) == 2
         assert power_oracle(two * two, 1) == power_oracle(two, 2)
 
+    def test_out_of_monoid_and_negative_power_rejected(self, f4):
+        theta = f4.element([0, 1])
+        with pytest.raises(OutOfRange):
+            embed(theta, 2, sum(index_period(theta * theta)))
+        with pytest.raises(OutOfRange):
+            embed(theta, -1, 0)
+
     def test_embedding_is_compatible_with_powers(self):
         for name in ["F3", "F4", "Z4", "F5"]:
             ring = named_ring(name)
             for x in ring.elements:
-                for q_exp in range(1, 4):
+                for q_exp in (0, 1, 2, 3, 7):
                     y = x ** q_exp
                     iota, pi = index_period(y)
                     for u in range(iota + pi):

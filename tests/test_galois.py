@@ -4,18 +4,23 @@ import itertools
 
 import pytest
 
-from hyperqudit import make_ring, named_ring
+from hyperqudit import RING_CATALOG, make_ring, named_ring, ring_from_descriptor
 from hyperqudit.errors import (
     BadCoefficient,
-    NoPrimitiveElement,
     NonMonic,
     ReducibleModulus,
     RingMismatch,
     TooLarge,
 )
 from hyperqudit.galois import EXACT_CAP
+from tests import oracle
 
 SMALL_RINGS = ["F2", "F3", "F4", "F5", "Z4", "Z8", "Z9", "F8", "F9", "GR(4,2)", "GR(4,3)"]
+
+# The catalog plus rings outside it: F25, F27, Z16, Z25 and GR(9,2); all have q <= 81.
+ORDER_RINGS = {**RING_CATALOG,
+               "F25": (5, 1, 2, (2, 1, 1)), "F27": (3, 1, 3, (1, 2, 0, 1)),
+               "Z16": (2, 4, 1, (0, 1)), "Z25": (5, 2, 1, (0, 1)), "GR(9,2)": (3, 2, 2, (2, 1, 1))}
 
 
 # -- independent oracle: schoolbook polynomial reduction -----------------------
@@ -244,10 +249,14 @@ class TestFrobeniusAndDigits:
             for x in ring.elements:
                 assert ring.trace(x) == ring.trace_frobenius(x)
 
-    def test_no_primitive_element_error(self):
-        ring = make_ring(2, 2, 2, [1, 1, 1], find_primitive=False)
-        with pytest.raises(NoPrimitiveElement):
-            ring.frobenius(ring.one)
+    def test_descriptor_with_stray_find_primitive_key(self):
+        # the key once switched the primitive-element search off; it is now ignored
+        ring = ring_from_descriptor(
+            {"p": 2, "r": 2, "d": 2, "modulus": [1, 1, 1], "find_primitive": False})
+        assert ring.key == named_ring("GR(4,2)").key
+        assert ring.primitive_theta == oracle.primitive_theta(ring)
+        for x in ring.elements:
+            assert ring.trace_frobenius(x) == ring.trace(x)
 
 
 class TestUnits:
@@ -266,6 +275,14 @@ class TestUnits:
                     continue
                 nilpotent = any((x ** k).is_zero() for k in range(1, ring.r + 1))
                 assert ring.is_unit(x) != nilpotent
+
+    @pytest.mark.parametrize("name", sorted(ORDER_RINGS))
+    def test_orders_and_primitive_element_match_scalar_oracle(self, name):
+        ring = make_ring(*ORDER_RINGS[name])
+        assert ring.q <= 81
+        for x in ring.elements:
+            assert ring.multiplicative_order(x) == oracle.multiplicative_order(x)
+        assert ring.primitive_theta == oracle.primitive_theta(ring)
 
     def test_unit_iff_first_digit_nonzero(self, gr42):
         for x in gr42.elements:

@@ -128,32 +128,32 @@ class TestExpPushforward:
         exps = list(all_exponents(f3))
         f = OrdinalMorphism(3, 3, (2, 0, 1))
         w = ExpFunc.make({0: exps[1], 2: exps[3]})
-        pushed = exp_pushforward(f, (0, 2), w, f3)
+        pushed = exp_pushforward(f, (0, 2), w)
         assert pushed == ExpFunc.make({2: exps[1], 1: exps[3]})
 
     def test_constant_merge_over_f2(self, f2):
         first = CycExponent.from_dense(f2, (1, 0))
         f = OrdinalMorphism(2, 1, (0, 0))
         w = ExpFunc.make({0: first, 1: first})
-        pushed = exp_pushforward(f, (0, 1), w, f2)
+        pushed = exp_pushforward(f, (0, 1), w)
         # (1,0) + (1,0) = (1,0): 1 +_0 1 = 1 and 0 +_1 0 = 0
         assert pushed == ExpFunc.make({0: first})
 
-    def test_zero_maps_to_zero(self, f3):
+    def test_zero_maps_to_zero(self):
         f = OrdinalMorphism(2, 1, (0, 0))
-        assert exp_pushforward(f, (0, 1), ExpFunc.zero(), f3) == ExpFunc.zero()
+        assert exp_pushforward(f, (0, 1), ExpFunc.zero()) == ExpFunc.zero()
 
     def test_domain_mismatch(self, f3):
         exps = list(all_exponents(f3))
         f = OrdinalMorphism(3, 3, (0, 1, 2))
         w = ExpFunc.make({1: exps[1]})
         with pytest.raises(DomainMismatch):
-            exp_pushforward(f, (0, 2), w, f3)
+            exp_pushforward(f, (0, 2), w)
 
     def test_against_componentwise_sum(self, f2):
         f = OrdinalMorphism(3, 1, (0, 0, 0))
         for w in all_exp_funcs(f2, (0, 1, 2)):
-            pushed = exp_pushforward(f, (0, 1, 2), w, f2)
+            pushed = exp_pushforward(f, (0, 1, 2), w)
             total = CycExponent.zero(f2)
             for v in (0, 1, 2):
                 total = exp_add(total, w.value(v, f2))
@@ -184,7 +184,7 @@ class TestCalibPushforward:
                         if f.image_edge(X) != Y:
                             continue
                         for w in all_exp_funcs(f2, X):
-                            if exp_pushforward(f, X, w, f2) == v:
+                            if exp_pushforward(f, X, w) == v:
                                 expected += hg.calib[X].get(w, 0)
                     expected %= f2.char
                     assert pushed[Y].get(v, 0) == expected
