@@ -181,7 +181,7 @@ def _carriers(a: CalibratedHypergraph, b: CalibratedHypergraph):
 
 def congruent(a: CalibratedHypergraph, b: CalibratedHypergraph) -> OrdinalMorphism | None:
     """The lexicographically least vertex permutation carrying a to b, if any."""
-    if a.l != b.l or a.ring.key != b.ring.key:
+    if a.l != b.l or a.ring is not b.ring:
         return None
     if a.l > _CONGRUENCE_MAX_L:
         raise TooLarge(f"congruence search capped at l <= {_CONGRUENCE_MAX_L}")

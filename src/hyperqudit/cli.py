@@ -244,7 +244,7 @@ def cmd_classify(args) -> int:
         placed = False
         for cls in classes:
             rep = cls["_rep"]
-            if rep.l == core.l and rep.ring.key == core.ring.key:
+            if rep.l == core.l and rep.ring is core.ring:
                 witness = congruent(rep, core)
                 if witness is not None:
                     cls["members"].append(name)

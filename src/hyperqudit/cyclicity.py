@@ -82,7 +82,7 @@ def embed(x: RingElement, q_exp: int, u: int) -> int:
     return reduce_exponents(iota, pi, q_exp * u)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CycExponent:
     """A generalized exponent: sparse tuple over the ring, keyed by element index.
 
@@ -143,23 +143,13 @@ class CycExponent:
     def __add__(self, other: "CycExponent") -> "CycExponent":
         return exp_add(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CycExponent)
-            and self.ring.key == other.ring.key
-            and self.items == other.items
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring.key, self.items))
-
     def __repr__(self) -> str:
         return f"CycExponent{self.to_dense()}"
 
 
 def exp_add(u: CycExponent, v: CycExponent) -> CycExponent:
     """Componentwise cyclic-monoid addition in the cyclicity monoid."""
-    if u.ring.key != v.ring.key:
+    if u.ring is not v.ring:
         raise RingMismatch("exponents over different rings")
     k = u.ring.kernel
     out = dict(u.items)
@@ -170,7 +160,7 @@ def exp_add(u: CycExponent, v: CycExponent) -> CycExponent:
 
 def power(x: RingElement, u: CycExponent) -> RingElement:
     """x^u = x^(u_x): the exponent applied is u's component at x itself."""
-    if x.ring.key != u.ring.key:
+    if x.ring is not u.ring:
         raise RingMismatch("power of a foreign exponent")
     ring = x.ring
     i = ring.index(x)

@@ -49,7 +49,7 @@ def _require_field(ring: GaloisRing) -> None:
         raise NotField(f"{ring} is not a field (r = {ring.r})")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FieldPolynomial:
     """A polynomial over a Galois field, least-significant coefficient first."""
 
@@ -61,7 +61,7 @@ class FieldPolynomial:
         _require_field(ring)
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, RingElement) or c.ring.key != ring.key:
+            if not isinstance(c, RingElement) or c.ring is not ring:
                 raise RingMismatch("coefficient from a different ring")
         while cs and cs[-1].is_zero():
             cs.pop()
@@ -105,16 +105,6 @@ class FieldPolynomial:
                 out[i + j] = out[i + j] + a * b
         return FieldPolynomial.make(self.ring, out)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldPolynomial)
-            and self.ring.key == other.ring.key
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring.key, tuple(c.coeffs for c in self.coeffs)))
-
     def __repr__(self) -> str:
         return f"FieldPolynomial({[c.coeffs for c in self.coeffs]})"
 
@@ -136,7 +126,7 @@ def _indices(ring: GaloisRing, values) -> np.ndarray:
     """Element indices of a sequence of ring elements; foreign elements are rejected."""
     out = []
     for v in values:
-        if not isinstance(v, RingElement) or v.ring.key != ring.key:
+        if not isinstance(v, RingElement) or v.ring is not ring:
             raise RingMismatch("element from a different ring")
         out.append(ring.index(v))
     return np.array(out, dtype=np.intp)
@@ -238,7 +228,7 @@ def gaussian_inverse(ring: GaloisRing, mat: Matrix) -> Matrix:
 def m_polynomial(ring: GaloisRing, u: CycExponent) -> FieldPolynomial:
     """The unique degree < q polynomial agreeing with the power function of u."""
     k = _kernel(ring)
-    if u.ring.key != ring.key:
+    if u.ring is not ring:
         raise RingMismatch("exponent over a different ring")
     coeffs = _mat_vec(k, _power_inverse_indices(ring), k.power_values(u.items))
     return FieldPolynomial.make(ring, [ring.elements[i] for i in coeffs.tolist()])

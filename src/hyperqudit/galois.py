@@ -13,21 +13,27 @@ lexicographic order of their coefficient vectors (constant term first).
 All serialized exponent tuples and matrices in this package refer to
 that order.
 
+Rings are interned: :func:`make_ring` returns one :class:`GaloisRing`
+per key (p, r, d, modulus) for the life of the process, so two objects
+are over the same ring exactly when their rings are the same object,
+and a ring refuses attribute assignment once constructed.
+
 Scalar :class:`RingElement` arithmetic is the API and JSON boundary.
 Every derived per-element table (the trace, each element's powers,
 index and period, hence the multiplicative order and the primitive
 element) comes only from the :class:`RingKernel`: integer index tables
-over the canonical order, built with numpy on first use and shared by
-every ring with the same key.  The one scalar path left is the
-Frobenius-sum trace, kept as the independent cross-check the paper
-states.  Rings are capped at q^2 <= EXACT_CAP, so every ring that can
-be constructed has a kernel.
+over the canonical order, built with numpy on the ring's first
+``kernel`` access.  The one scalar path left is the Frobenius-sum
+trace, kept as the independent cross-check the paper states.  Rings
+are capped at q^2 <= EXACT_CAP, so every ring that can be constructed
+has a kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +88,16 @@ def grid_size(q: int, l: int, what: str) -> int:
 
 
 def exact_int(value) -> int:
-    """int(value), refusing a float with a fractional part instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
+    """int(value) for an int, a numpy integer or an integral float.
+
+    A float with a fractional part raises ValueError instead of being
+    truncated; a string, a bool or any other type raises TypeError.
+    """
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
+    elif not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
     return int(value)
 
 
@@ -138,7 +151,7 @@ def _irreducible_mod_p(coeffs: list[int], p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RingElement:
     """An element of a :class:`GaloisRing`, stored as a reduced coefficient vector."""
 
@@ -146,7 +159,7 @@ class RingElement:
     coeffs: tuple[int, ...]
 
     def _check(self, other: "RingElement") -> None:
-        if self.ring.key != other.ring.key:
+        if self.ring is not other.ring:
             raise RingMismatch(f"elements of {self.ring} and {other.ring} combined")
 
     def __add__(self, other: "RingElement") -> "RingElement":
@@ -185,16 +198,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingElement)
-            and self.ring.key == other.ring.key
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring.key, self.coeffs))
-
     def __repr__(self) -> str:
         return f"RingElement{self.coeffs}"
 
@@ -202,9 +205,11 @@ class RingElement:
 class GaloisRing:
     """The ring GR(p^r, d) = Z_{p^r}[x]/(h(x)) with cached element tables.
 
-    Instances are immutable after construction apart from the idempotent,
-    lazily populated Teichmueller digit table; they are safe to share.
-    Rings with q^2 above EXACT_CAP are refused before anything is enumerated.
+    Construct through :func:`make_ring`, which keeps one instance per key,
+    so ring equality is identity.  An instance is shared, so it refuses
+    attribute assignment; only the lazily built kernel and Teichmueller
+    digit table are added later, and both are idempotent.  Rings with q^2
+    above EXACT_CAP are refused before anything is enumerated.
     Construction builds no kernel.
     """
 
@@ -226,26 +231,18 @@ class GaloisRing:
         if not _irreducible_mod_p(list(modulus), p):
             raise ReducibleModulus("mod-p reduction of the modulus factors over F_p")
 
-        self.p = p
-        self.r = r
-        self.d = d
-        self.char = char
-        self.q = p ** (r * d)
-        self.modulus = tuple(modulus)
-        self.key = (p, r, d, self.modulus)
+        zero, one = (0,) * d, (1,) + (0,) * (d - 1)
+        rest = sorted(c for c in itertools.product(range(char), repeat=d) if c not in (zero, one))
+        elements = tuple(RingElement(self, c) for c in (zero, one, *rest))
+        # written through vars(), since __setattr__ refuses every assignment
+        vars(self).update(
+            p=p, r=r, d=d, char=char, q=p ** (r * d), modulus=tuple(modulus),
+            key=(p, r, d, tuple(modulus)), zero=elements[0], one=elements[1],
+            elements=elements, _index={e.coeffs: i for i, e in enumerate(elements)},
+            _digit_cache={})
 
-        self.zero = RingElement(self, (0,) * d)
-        self.one = RingElement(self, (1,) + (0,) * (d - 1))
-
-        rest = sorted(
-            c for c in itertools.product(range(char), repeat=d)
-            if c != self.zero.coeffs and c != self.one.coeffs
-        )
-        self.elements: tuple[RingElement, ...] = (
-            self.zero, self.one, *(RingElement(self, c) for c in rest)
-        )
-        self._index = {e.coeffs: i for i, e in enumerate(self.elements)}
-        self._digit_cache: dict[tuple[int, ...], tuple[RingElement, ...]] = {}
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{self} is shared by every user of its key; {name!r} is read-only")
 
     # -- basics ---------------------------------------------------------------
 
@@ -280,7 +277,7 @@ class GaloisRing:
 
     def trace(self, x: RingElement) -> int:
         """tr(x): matrix trace of multiplication-by-x on the free P-module R, from the kernel."""
-        if x.ring.key != self.key:
+        if x.ring is not self:
             raise RingMismatch("trace of a foreign element")
         return int(self.kernel.trace[self.index(x)])
 
@@ -349,13 +346,14 @@ class GaloisRing:
             raise AssertionError("Frobenius-sum trace left the prime subring")
         return acc.coeffs[0]
 
-    @property
+    @cached_property
     def kernel(self) -> "RingKernel":
-        """The ring's integer tables, built on first use and shared per ring key."""
-        kernel = _KERNELS.get(self.key)
-        if kernel is None:
-            kernel = _KERNELS[self.key] = _build_kernel(self)
-        return kernel
+        """The ring's integer tables, built on first use."""
+        return _build_kernel(self)
+
+    def __reduce__(self):
+        # a copy or an unpickled ring is the interned instance, not a second one
+        return make_ring, self.key
 
     def __repr__(self) -> str:
         return f"GR({self.char},{self.d})"
@@ -389,8 +387,6 @@ class RingKernel:
             u[idx] = comp
         return self.powers[np.arange(len(u)), u]
 
-
-_KERNELS: dict[tuple, RingKernel] = {}
 
 # Elements in one block of the chunked multiplication-table build.
 _MUL_BLOCK = 1 << 18
@@ -450,15 +446,24 @@ def _build_kernel(ring: GaloisRing) -> RingKernel:
     return kernel
 
 
+# Every ring made so far, by key; strong, so each ring and its kernel are built once.
+_RINGS: dict[tuple, GaloisRing] = {}
+
+
 def make_ring(p: int, r: int, d: int, modulus) -> GaloisRing:
-    """Construct and validate GR(p^r, d) with the given monic modulus.
+    """GR(p^r, d) with the given monic modulus: one validated instance per key.
 
     The modulus is given least-significant coefficient first and must have
-    d + 1 coefficients in [0, p^r).  Nothing is enumerated beyond the
-    element list: the primitive element and the unit orders are read from
-    the ring's kernel when first asked for.
+    d + 1 coefficients in [0, p^r).  The first call for a key constructs
+    the ring, so a refused key raises on every call.  Nothing is
+    enumerated beyond the element list: the primitive element and the
+    unit orders are read from the ring's kernel when first asked for.
     """
-    return GaloisRing(p, r, d, tuple(int(c) for c in modulus))
+    key = (p, r, d, tuple(int(c) for c in modulus))
+    ring = _RINGS.get(key)
+    if ring is None:
+        ring = _RINGS[key] = GaloisRing(*key)
+    return ring
 
 
 # -- descriptor (de)serialization ---------------------------------------------

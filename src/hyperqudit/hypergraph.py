@@ -105,7 +105,7 @@ class OrdinalMorphism:
         return tuple(sorted({self.values[r] for r in edge}))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExpFunc:
     """An exponent function on a hyperedge: vertex -> generalized exponent.
 
@@ -141,12 +141,6 @@ class ExpFunc:
     def relabel(self, mapping: Mapping[int, int]) -> "ExpFunc":
         """Transport along an injective vertex relabelling."""
         return ExpFunc.make({mapping[v]: u for v, u in self.items})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExpFunc) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
 
     def sort_key(self) -> tuple:
         return tuple((v, u.to_dense()) for v, u in self.items)
@@ -201,7 +195,7 @@ class CalibratedHypergraph:
             edge = _normalize_edge(e, l)
             if any(v not in edge for v in w.support()):
                 raise DomainMismatch(f"key {w} not supported on edge {edge}")
-            if any(u.ring.key != ring.key for _, u in w.items):
+            if any(u.ring is not ring for _, u in w.items):
                 raise RingMismatch("exponent over a different ring")
             slot = sums.setdefault(edge, {})
             slot[w] = (slot.get(w, 0) + int(value)) % ring.char
@@ -217,7 +211,7 @@ class CalibratedHypergraph:
 
     def canonical(self) -> tuple:
         return (
-            self.ring.key, self.l,
+            self.ring, self.l,
             tuple((e, tuple((w.sort_key(), val) for w, val in entries.items()))
                   for e, entries in self.calib.items()),
         )
@@ -242,7 +236,7 @@ class CalibratedHypergraph:
         return CalibratedHypergraph(ring, l)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeightedHypergraph:
     """A hypergraph with one prime-subring weight per edge."""
 
@@ -261,18 +255,8 @@ class WeightedHypergraph:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for e, _ in self.weights)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeightedHypergraph)
-            and self.ring.key == other.ring.key
-            and (self.l, self.weights) == (other.l, other.weights)
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.ring.key, self.l, self.weights))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MarkedHypergraph:
     """A hypergraph whose edges (of size >= 2) each carry a target vertex."""
 
@@ -296,16 +280,6 @@ class MarkedHypergraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for e, _ in self.marks)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MarkedHypergraph)
-            and self.ring.key == other.ring.key
-            and (self.l, self.marks) == (other.l, other.marks)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring.key, self.l, self.marks))
 
 
 # -- morphism action and monadic product ---------------------------------------
@@ -331,7 +305,7 @@ def apply_morphism(f: OrdinalMorphism, hg: CalibratedHypergraph) -> CalibratedHy
 
 def monadic_product(a: CalibratedHypergraph, b: CalibratedHypergraph) -> CalibratedHypergraph:
     """Disjoint union over [l+m]: b's edges and keys shifted by a's grade."""
-    if a.ring.key != b.ring.key:
+    if a.ring is not b.ring:
         raise RingMismatch("hypergraphs over different rings")
     calib: dict[Edge, dict[ExpFunc, int]] = {e: dict(vs) for e, vs in a.calib.items()}
     for e, entries in b.calib.items():
@@ -380,9 +354,10 @@ def _field(doc, key: str, what: str, default=_REQUIRED):
     return default
 
 
-def _int(value, what: str) -> int:
+def _int(value, what: str, key: bool = False) -> int:
+    """An integer field; an object key, a string in JSON, is read as a decimal string."""
     try:
-        return exact_int(value)
+        return int(value, 10) if key and isinstance(value, str) else exact_int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadDocument(f"{what} must be an integer, got {value!r}") from exc
 
@@ -418,7 +393,7 @@ def hypergraph_from_json(doc: dict, kind: str = "calibrated"):
             plain.append(edge)
             for item in _list(entry.get("calibration", []), "calibration"):
                 w = ExpFunc.make({
-                    _int(v, "a key vertex"): CycExponent.from_dense(
+                    _int(v, "a key vertex", key=True): CycExponent.from_dense(
                         ring, _list(dense, "an exponent"))
                     for v, dense in _object(_field(item, "w", "a calibration entry"), "w").items()
                 })
@@ -440,7 +415,7 @@ def hypergraph_from_json(doc: dict, kind: str = "calibrated"):
             slot = tau.setdefault(edge, {})
             for item in _list(entry.get("poly", []), "poly"):
                 a = _object(_field(item, "a", "a poly entry"), "a")
-                key = tuple(sorted((_int(v, "a vertex"), _int(k, "a poly exponent"))
+                key = tuple(sorted((_int(v, "a vertex", key=True), _int(k, "a poly exponent"))
                                    for v, k in a.items()))
                 value = _int(_field(item, "value", "a poly entry"), "a poly value")
                 slot[key] = (slot.get(key, 0) + value) % ring.char

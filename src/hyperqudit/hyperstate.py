@@ -232,6 +232,9 @@ def check_stabilizer_pushforward(hg: CalibratedHypergraph, f: OrdinalMorphism) -
 # Entries of the (row, configuration) block one step of the row check counts.
 _PAIR_BLOCK = 1 << 15
 
+# Configurations the stabilizer suite builds the state at in one step.
+_CONFIG_BLOCK = 1 << 16
+
 
 def lme_orthonormal(hg: CalibratedHypergraph) -> bool:
     """Path one: the Z-translates of the state form an orthonormal set, exactly.
@@ -298,17 +301,21 @@ def stabilizer_fixes_state(hg: CalibratedHypergraph) -> tuple[int, int]:
     table; so a table that differs from sigma by more than a constant
     fails labels.  When the two differ by a constant mod p^r every label
     passes, which one O(q^l) comparison decides; otherwise each label is
-    applied in turn.
+    applied in turn, which needs q^(2l) entries and is capped like them.
+    The state is built a block of configurations at a time, so the passing
+    path holds O(q^l) entries, not the l q^l of every configuration.
     """
     ring, l = hg.ring, hg.l
-    grid_size(ring.q, 2 * l, "the stabilizer suite")
-    n = ring.q ** l
     sigma = phase_table(hg)
-    configs = np.indices((ring.q,) * l, dtype=np.intp).reshape(l, n)
-    psi = reduced_table(sigma_columns(hg, configs), ring.char)
+    n = sigma.size
+    place = ring.q ** np.arange(l - 1, -1, -1, dtype=np.intp)[:, None]  # digit r: x // q^(l-1-r)
+    psi = reduced_table(np.concatenate([
+        sigma_columns(hg, np.arange(start, min(start + _CONFIG_BLOCK, n)) // place % ring.q)
+        for start in range(0, n, _CONFIG_BLOCK)]), ring.char)
     offset = (psi - sigma) % ring.char
     if (offset == offset[0]).all():
         return n, n
+    grid_size(ring.q, 2 * l, "the stabilizer suite")
     good = 0
     for a_idx in itertools.product(range(ring.q), repeat=l):
         moved = _stabilized(psi, sigma, ring, a_idx) % ring.char

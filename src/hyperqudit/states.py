@@ -136,7 +136,7 @@ def trace_pairing(x: Configuration, y: Configuration) -> int:
         return 0
     ring = x[0].ring
     for a, b in zip(x, y):
-        if a.ring.key != ring.key or b.ring.key != ring.key:
+        if a.ring is not ring or b.ring is not ring:
             raise RingMismatch("trace pairing across rings")
     return sum(ring.trace(a * b) for a, b in zip(x, y)) % ring.char
 
@@ -222,13 +222,13 @@ class FlatState:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FlatState)
-            and self.ring.key == other.ring.key
-            and (self.l, self.basis, self.norm_exp) == (other.l, other.basis, other.norm_exp)
+            and (self.ring, self.l, self.basis, self.norm_exp)
+            == (other.ring, other.l, other.basis, other.norm_exp)
             and np.array_equal(self.phases, other.phases)
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring.key, self.l, self.basis, self.norm_exp, self.phases.tobytes()))
+        return hash((self.ring, self.l, self.basis, self.norm_exp, self.phases.tobytes()))
 
 
 def reduced_table(phases, m: int) -> np.ndarray:
@@ -256,7 +256,7 @@ def label_indices(ring: GaloisRing, a: Configuration, l: int) -> list[int]:
     """Element indices of a grade-l operator label over `ring`."""
     if len(a) != l:
         raise GradeMismatch("operator grade does not match the state grade")
-    if any(e.ring.key != ring.key for e in a):
+    if any(e.ring is not ring for e in a):
         raise RingMismatch("operator configuration over a different ring")
     return [ring.index(e) for e in a]
 
@@ -341,7 +341,7 @@ def apply_he_morphism(f: OrdinalMorphism, psi: FlatState) -> FlatState:
 
 def tensor(psi: FlatState, phi: FlatState) -> FlatState:
     """Monadic product of states: phases add blockwise, magnitudes multiply."""
-    if psi.ring.key != phi.ring.key:
+    if psi.ring is not phi.ring:
         raise RingMismatch("tensor of states over different rings")
     if psi.basis != phi.basis:
         raise BasisMismatch("tensor of states in different bases")
@@ -354,7 +354,7 @@ def tensor(psi: FlatState, phi: FlatState) -> FlatState:
 
 def phase_difference_counts(psi: FlatState, phi: FlatState) -> list[int]:
     """Counts of each residue of (phi - psi) phases; encodes <psi|phi> / q^((n1+n2)/2)."""
-    if psi.ring.key != phi.ring.key:
+    if psi.ring is not phi.ring:
         raise RingMismatch("inner product across rings")
     if psi.l != phi.l:
         raise GradeMismatch("inner product across grades")
@@ -400,8 +400,7 @@ def is_orthogonal(psi: FlatState, phi: FlatState) -> bool:
 
 def equal_up_to_phase(psi: FlatState, phi: FlatState) -> int | None:
     """The constant c with phi = omega^c psi, or None."""
-    if (psi.ring.key, psi.l, psi.basis, psi.norm_exp) != (
-            phi.ring.key, phi.l, phi.basis, phi.norm_exp):
+    if (psi.ring, psi.l, psi.basis, psi.norm_exp) != (phi.ring, phi.l, phi.basis, phi.norm_exp):
         return None
     diff = (phi.phases - psi.phases) % psi.ring.char
     c = int(diff[0])

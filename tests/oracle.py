@@ -208,8 +208,7 @@ def cyclotomic_residue(counts, p, r):
 
 
 def equal_up_to_phase(psi, phi):
-    if (psi.ring.key, psi.l, psi.basis, psi.norm_exp) != (
-            phi.ring.key, phi.l, phi.basis, phi.norm_exp):
+    if (psi.ring, psi.l, psi.basis, psi.norm_exp) != (phi.ring, phi.l, phi.basis, phi.norm_exp):
         return None
     m = psi.ring.char
     c = (phi.phases[0] - psi.phases[0]) % m
@@ -425,7 +424,7 @@ def _permutations(l):
 
 def congruent(a, b):
     """The lexicographically least permutation f with f(a) == b, or None."""
-    if a.l != b.l or a.ring.key != b.ring.key:
+    if a.l != b.l or a.ring is not b.ring:
         return None
     for f in _permutations(a.l):
         if apply_morphism(f, a) == b:

@@ -29,6 +29,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def f2_chain_document(l):
+    """An F2 hypergraph over [l] with a first-power key on every run of 2 or 3 vertices."""
+    first = [1, 0]  # acts as the first power
+    runs = [tuple(range(r, r + size)) for size in (2, 3) for r in range(l - size + 1)]
+    return {"ring": {"name": "F2"}, "l": l, "edges": [
+        {"vertices": list(e), "calibration": [{"w": {str(v): first for v in e}, "value": 1}]}
+        for e in runs]}
+
+
 def load_with_corrupted_table(monkeypatch):
     """Make the CLI's loader cache a phase table that is wrong at entry 5."""
     from hyperqudit import phase_table
@@ -113,6 +122,13 @@ class TestStateVerify:
                            "--stabilizer")
         assert code == 0
         assert out.strip() == "27/27 stabilizer checks passed"
+
+    def test_stabilizer_suite_passes_above_the_label_cap(self, capsys, tmp_path):
+        # the passing path needs the 2^12 entries of the state, not 2^24 for all labels
+        path = tmp_path / "f2_l12.json"
+        path.write_text(json.dumps(f2_chain_document(12)))
+        assert run(capsys, "state", "verify", str(path), "--stabilizer") == (
+            0, "4096/4096 stabilizer checks passed\n", "")
 
     def test_all_suites_bell(self, capsys):
         code, out, _ = run(capsys, "state", "verify", str(FIXTURES / "bell_01.json"))
@@ -355,6 +371,19 @@ class TestExitCodes:
          "malformed ring descriptor"),
         ({"ring": {"p": 3, "r": 1, "d": 1, "modulus": [0, 1.25]}, "l": 1},
          "malformed ring descriptor"),
+        # strings and booleans are not integers, though int() would take them
+        ({"ring": {"p": "2", "r": 1, "d": 1, "modulus": [0, 1]}, "l": 1},
+         "malformed ring descriptor"),
+        ({"ring": {"p": 2, "r": 1, "d": 1, "modulus": ["0", True]}, "l": 1},
+         "malformed ring descriptor"),
+        ({"ring": {"name": "F3"}, "l": "2", "edges": []}, "l must be an integer, got '2'"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, "1"]}]},
+         "a vertex must be an integer, got '1'"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, 1], "calibration": [
+            {"w": {"0": [0, 0, 1]}, "value": True}]}]},
+         "a calibration value must be an integer, got True"),
+        ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, 1], "calibration": [
+            {"w": {"0": [0, 0, True]}, "value": 1}]}]}, "component True at index 2"),
     ])
     def test_malformed_document_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
@@ -437,6 +466,19 @@ class TestExitCodes:
                            "--stabilizer")
         assert code == 2
         assert out.strip() == "1/27 stabilizer checks passed (FAIL)"
+
+    def test_corrupted_phase_table_above_the_label_cap_exits_one(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        # checking each of the 2^12 labels would walk 2^24 entries, over the exact cap
+        load_with_corrupted_table(monkeypatch)
+        path = tmp_path / "f2_l12.json"
+        path.write_text(json.dumps(f2_chain_document(12)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "state", "verify", str(path), "--stabilizer")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "needs 2^24 entries" in err
 
     @pytest.mark.parametrize("suite, line, passed, total", [
         ("--pushforward", "1/3 stabilizer pushforward checks passed (FAIL)", 1, 3),

@@ -1,10 +1,18 @@
 """Ring construction, arithmetic, trace and the p-adic representation."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
-from hyperqudit import RING_CATALOG, make_ring, named_ring, ring_from_descriptor
+from hyperqudit import (
+    RING_CATALOG,
+    make_ring,
+    named_ring,
+    ring_from_descriptor,
+    ring_to_descriptor,
+)
 from hyperqudit.errors import (
     BadCoefficient,
     NonMonic,
@@ -79,6 +87,32 @@ class TestConstruction:
         with pytest.raises(TooLarge):
             make_ring(p, r, d, [0] * d + [1])
 
+    @pytest.mark.parametrize("name", sorted(RING_CATALOG))
+    def test_descriptor_round_trip_is_the_catalog_ring(self, name):
+        ring = named_ring(name)
+        assert ring_from_descriptor(ring_to_descriptor(ring)) is ring
+        assert make_ring(*RING_CATALOG[name]) is ring
+
+    def test_refused_descriptor_raises_on_every_call(self):
+        desc = {"p": 2, "r": 1, "d": 2, "modulus": [1, 0, 1]}  # x^2 + 1 = (x + 1)^2 over F_2
+        for _ in range(2):
+            with pytest.raises(ReducibleModulus):
+                ring_from_descriptor(desc)
+
+    def test_ring_attributes_are_read_only(self):
+        ring = named_ring("F3")
+        with pytest.raises(AttributeError):
+            ring.q = 5
+        with pytest.raises(AttributeError):
+            ring.kernel = None
+        assert ring.q == 3
+
+    def test_copies_are_the_interned_ring(self):
+        ring = named_ring("GR(4,2)")
+        assert copy.copy(ring) is ring
+        assert copy.deepcopy(ring.one) == ring.one
+        assert pickle.loads(pickle.dumps(ring.elements)) == ring.elements
+
     def test_largest_ring_under_the_cap_constructs(self):
         ring = make_ring(2, 11, 1, [0, 1])
         assert ring.q == 2048 and ring.q ** 2 == EXACT_CAP
@@ -108,7 +142,7 @@ class TestDescriptors:
         desc = ring_to_descriptor(gr43)
         assert desc == {"p": 2, "r": 2, "d": 3, "modulus": [3, 1, 2, 1]}
         again = ring_from_descriptor(desc)
-        assert again.key == gr43.key
+        assert again is gr43
 
     def test_named_descriptor(self):
         from hyperqudit import ring_from_descriptor
@@ -253,7 +287,7 @@ class TestFrobeniusAndDigits:
         # the key once switched the primitive-element search off; it is now ignored
         ring = ring_from_descriptor(
             {"p": 2, "r": 2, "d": 2, "modulus": [1, 1, 1], "find_primitive": False})
-        assert ring.key == named_ring("GR(4,2)").key
+        assert ring is named_ring("GR(4,2)")
         assert ring.primitive_theta == oracle.primitive_theta(ring)
         for x in ring.elements:
             assert ring.trace_frobenius(x) == ring.trace(x)

@@ -166,6 +166,13 @@ class TestStabilizers:
         hg._phase_table_cache = table
         assert stabilizer_fixes_state(hg) == (1, 27)
 
+    def test_suite_builds_the_state_a_block_at_a_time(self, monkeypatch):
+        # blocks of 5 split the 27 configurations of l = 3 with a short last block
+        import hyperqudit.hyperstate as hyperstate
+
+        monkeypatch.setattr(hyperstate, "_CONFIG_BLOCK", 5)
+        self.test_suite_fails_on_a_corrupted_phase_table()
+
     def test_pairwise_distinct_on_spanning_set(self, f2):
         # the Hadamard kets expanded as computational flat tables span;
         # distinct labels act differently on at least one of them

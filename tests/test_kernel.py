@@ -46,7 +46,7 @@ from hyperqudit import (
     to_dense,
 )
 from hyperqudit.errors import TooLarge
-from hyperqudit.galois import _KERNELS, EXACT_CAP
+from hyperqudit.galois import EXACT_CAP
 from hyperqudit.hyperstate import dense_he_matrix, dense_stabilizer_matrix
 from hyperqudit.states import cyclotomic_residue, phase_difference_counts
 from tests import oracle
@@ -123,12 +123,12 @@ def test_kernel_tables_match_scalar_arithmetic(name):
 
 
 def test_kernel_is_lazy_and_shared_per_key():
-    desc = (5, 1, 2, (2, 1, 1))  # F25, outside the catalog
-    _KERNELS.pop(desc, None)
+    desc = (5, 1, 2, (2, 0, 1))  # F25 over x^2 + 2, a key no other test makes
     first = make_ring(*desc)
-    assert first.key not in _KERNELS
+    assert "kernel" not in vars(first)
     second = make_ring(*desc)
-    assert first.kernel is second.kernel
+    assert second is first
+    assert second.kernel is first.kernel
 
 
 # -- phase tables ---------------------------------------------------------------------

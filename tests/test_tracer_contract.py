@@ -32,6 +32,14 @@ def test_layers_are_package_modules():
         importlib.import_module(f"{_T.PACKAGE}.{layer}")
 
 
+def test_named_ring_fills_the_catalog_cache():
+    # Tracer._hooks reads catalog._cache to count named_ring hits
+    catalog = importlib.import_module(f"{_T.PACKAGE}.catalog")
+    assert isinstance(catalog._cache, dict)
+    ring = catalog.named_ring(" F5 ")
+    assert catalog._cache["F5"] is ring
+
+
 @pytest.mark.parametrize("layer, qual", NAMES, ids=[f"{l}.{q}" for l, q in NAMES])
 def test_traced_name_resolves(layer, qual):
     obj = importlib.import_module(f"{_T.PACKAGE}.{layer}")
