@@ -13,10 +13,11 @@ lexicographic order of their coefficient vectors (constant term first).
 All serialized exponent tuples and matrices in this package refer to
 that order.
 
-Rings are interned: :func:`make_ring` returns one :class:`GaloisRing`
-per key (p, r, d, modulus) for the life of the process, so two objects
-are over the same ring exactly when their rings are the same object,
-and a ring refuses attribute assignment once constructed.
+Rings are interned: :class:`GaloisRing`, called directly or through
+:func:`make_ring`, returns one instance per key (p, r, d, modulus) for
+the life of the process, so two objects are over the same ring exactly
+when their rings are the same object, and a ring refuses attribute
+assignment once constructed.
 
 Scalar :class:`RingElement` arithmetic is the API and JSON boundary.
 Every derived per-element table (the trace, each element's powers,
@@ -62,9 +63,9 @@ __all__ = [
 
 # Largest integer table an exact path may allocate: q^l phase entries for
 # a state, q^2 for the ring kernel's index tables (checked when the ring is
-# constructed, so q <= 2048), and the number of
-# (label, configuration) pairs a pairwise suite walks.  2^22 keeps F2 at
-# l = 20 (about 10^6 configurations) buildable in well under a second.
+# constructed, so q <= 2048), and the (label, configuration) pairs the
+# stabilizer suite's failing path walks.  2^22 keeps F2 at l = 20 (about
+# 10^6 configurations) buildable in well under a second.
 EXACT_CAP = 1 << 22
 
 
@@ -202,15 +203,28 @@ class RingElement:
         return f"RingElement{self.coeffs}"
 
 
-class GaloisRing:
+class _Interned(type):
+    """Class call returns the one ring of its key, constructing it on the first call."""
+
+    def __call__(cls, p: int, r: int, d: int, modulus) -> "GaloisRing":
+        key = (p, r, d, tuple(int(c) for c in modulus))
+        ring = _RINGS.get(key)
+        if ring is None:
+            # __init__ validates before anything is stored, so a refused key raises every time
+            ring = _RINGS[key] = super().__call__(*key)
+        return ring
+
+
+class GaloisRing(metaclass=_Interned):
     """The ring GR(p^r, d) = Z_{p^r}[x]/(h(x)) with cached element tables.
 
-    Construct through :func:`make_ring`, which keeps one instance per key,
-    so ring equality is identity.  An instance is shared, so it refuses
-    attribute assignment; only the lazily built kernel and Teichmueller
-    digit table are added later, and both are idempotent.  Rings with q^2
-    above EXACT_CAP are refused before anything is enumerated.
-    Construction builds no kernel.
+    ``GaloisRing(p, r, d, modulus)``, like :func:`make_ring`, returns the
+    one instance per key, so ring equality is identity; ``__init__`` runs
+    once per key.  An instance is shared, so it refuses attribute
+    assignment; only the lazily built kernel and Teichmueller digit table
+    are added later, and both are idempotent.  Rings with q^2 above
+    EXACT_CAP are refused before anything is enumerated.  Construction
+    builds no kernel.
     """
 
     def __init__(self, p: int, r: int, d: int, modulus: tuple[int, ...]):
@@ -447,6 +461,7 @@ def _build_kernel(ring: GaloisRing) -> RingKernel:
 
 
 # Every ring made so far, by key; strong, so each ring and its kernel are built once.
+# GaloisRing's metaclass fills it, so a direct constructor call is interned too.
 _RINGS: dict[tuple, GaloisRing] = {}
 
 
@@ -459,11 +474,7 @@ def make_ring(p: int, r: int, d: int, modulus) -> GaloisRing:
     enumerated beyond the element list: the primitive element and the
     unit orders are read from the ring's kernel when first asked for.
     """
-    key = (p, r, d, tuple(int(c) for c in modulus))
-    ring = _RINGS.get(key)
-    if ring is None:
-        ring = _RINGS[key] = GaloisRing(*key)
-    return ring
+    return GaloisRing(p, r, d, modulus)
 
 
 # -- descriptor (de)serialization ---------------------------------------------

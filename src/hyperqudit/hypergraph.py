@@ -355,9 +355,14 @@ def _field(doc, key: str, what: str, default=_REQUIRED):
 
 
 def _int(value, what: str, key: bool = False) -> int:
-    """An integer field; an object key, a string in JSON, is read as a decimal string."""
+    """An integer field; an object key, a string in JSON, must be ASCII decimal digits.
+
+    int() alone would also read "1_0" as 10, and " 1", "+1" or non-ASCII
+    digits as 1.
+    """
+    digits = key and isinstance(value, str) and value.isascii() and value.isdigit()
     try:
-        return int(value, 10) if key and isinstance(value, str) else exact_int(value)
+        return int(value) if digits else exact_int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadDocument(f"{what} must be an integer, got {value!r}") from exc
 
@@ -376,10 +381,11 @@ def _vertices(entry) -> tuple[int, ...]:
 def hypergraph_from_json(doc: dict, kind: str = "calibrated"):
     """Parse a hypergraph document; kind is calibrated, weighted, marked or poly.
 
-    The poly variant returns (hypergraph edges as a dict vertex-tuple ->
-    {assignment: value}, ring, l) consumed by the polynomial-phase
-    conversion, since a polynomial phase datum is not itself a hypergraph
-    type of this module.  A missing field or one of the wrong type
+    The poly variant returns (ring, l, tau), tau a dict from each edge
+    (a sorted vertex tuple) to {assignment: value}, an assignment being
+    the sorted (vertex, exponent) pairs of one ``a`` object.  It feeds the
+    polynomial-phase conversion, since a polynomial phase datum is not
+    itself a hypergraph type of this module.  A missing field or one of the wrong type
     raises BadDocument.
     """
     ring = ring_from_descriptor(_field(doc, "ring", "a hypergraph document"))

@@ -20,6 +20,7 @@ The entangleability suite checks flatness and the ring's trace pairing,
 not sigma: the phase differences of the Z-translates of a flat state
 are trace pairings, in which sigma cancels, so any phase table passes
 exactly when sum_x omega^tr(cx) = 0 for every nonzero c in the ring.
+The pairing factorizes per qudit, so that exact check has no cap on l.
 
 Whole tables are computed with gathers through the ring kernel (see
 :class:`hyperqudit.galois.RingKernel`).  ``sigma_columns`` evaluates
@@ -229,7 +230,7 @@ def check_stabilizer_pushforward(hg: CalibratedHypergraph, f: OrdinalMorphism) -
 
 # -- local maximal entangleability ---------------------------------------------
 
-# Entries of the (row, configuration) block one step of the row check counts.
+# Entries of the (row, element) block one step of the one-qudit row check counts.
 _PAIR_BLOCK = 1 << 15
 
 # Configurations the stabilizer suite builds the state at in one step.
@@ -242,18 +243,17 @@ def lme_orthonormal(hg: CalibratedHypergraph) -> bool:
     Z(a) applied to the state has phases sigma + <a, .>, so the phase
     difference of the translates of a and b is <b - a, .> and sigma
     cancels: the q^(2l) inner products are the q^l rows c of the pairing
-    matrix, each checked once.  Row 0 is the norm (all q^l phases 0, so
-    the norm is exactly 1) and every row c != 0 must be a vanishing
-    root-of-unity sum.  The suite therefore checks flatness and the
-    ring's trace pairing, not sigma; a state with any phase table passes.
-    The sum over configurations factorizes per qudit, so for l >= 1 the
-    result is the O(q^2) ring criterion sum_x omega^tr(cx) = 0 for every
-    nonzero c in R, the nondegeneracy of the trace pairing.
+    matrix.  Row 0 is the norm (all phases 0, so exactly 1) and every row
+    c != 0 must be a vanishing root-of-unity sum, so a state with any
+    phase table passes.  Row c factorizes per qudit, sum_x omega^<c,x> =
+    prod_r sum_x omega^tr(c_r x), with the factor q at a zero component,
+    so for l >= 1 the q rows of grade 1 decide every grade: the O(q^2)
+    criterion sum_x omega^tr(cx) = 0 for every nonzero c in R, the
+    nondegeneracy of the trace pairing.
     """
     ring = hg.ring
-    grid_size(ring.q, 2 * hg.l, "the pairwise orthonormality check")
-    n, m = ring.q ** hg.l, ring.char
-    pairing = pairing_matrix(ring, hg.l)
+    pairing = pairing_matrix(ring, min(hg.l, 1))
+    n, m = len(pairing), ring.char
     if pairing[0].any():
         return False  # norm not exactly 1
     rows = max(1, _PAIR_BLOCK // n)

@@ -130,6 +130,18 @@ class TestStateVerify:
         assert run(capsys, "state", "verify", str(path), "--stabilizer") == (
             0, "4096/4096 stabilizer checks passed\n", "")
 
+    def test_default_suites_pass_above_the_pairing_cap(self, capsys, tmp_path):
+        # the lme row check reads the one-qudit pairing, not the 2^24 pairs at l = 12
+        path = tmp_path / "f2_l12.json"
+        path.write_text(json.dumps(f2_chain_document(12)))
+        assert run(capsys, "state", "verify", str(path)) == (0, (
+            "4096/4096 stabilizer checks passed\n"
+            "2/2 covariance checks passed\n"
+            "lme passed (exact path only (dense path over cap))\n"
+            "3/3 stabilizer pushforward checks passed\n"), "")
+        code, out, _ = run(capsys, "--json", "state", "verify", str(path))
+        assert code == 0 and json.loads(out)["ok"] is True
+
     def test_all_suites_bell(self, capsys):
         code, out, _ = run(capsys, "state", "verify", str(FIXTURES / "bell_01.json"))
         assert code == 0
@@ -384,11 +396,22 @@ class TestExitCodes:
          "a calibration value must be an integer, got True"),
         ({"ring": {"name": "F3"}, "l": 2, "edges": [{"vertices": [0, 1], "calibration": [
             {"w": {"0": [0, 0, True]}, "value": 1}]}]}, "component True at index 2"),
+        # an object key is a vertex only as ASCII digits; int() would read
+        # "1_0" as 10 and " 1", "+1" or non-ASCII digits as 1
+        *[({"ring": {"name": "F2"}, "l": 11, "edges": [{"vertices": [0, 1, 10], "calibration": [
+            {"w": {v: [1, 0]}, "value": 1}]}]}, f"a key vertex must be an integer, got {v!r}")
+          for v in ("1_0", " 1", "+1", "\u0661", "\uff11")],
+        *[({"ring": {"name": "F3"}, "l": 1, "edges": [{"vertices": [0], "poly": [
+            {"a": {v: 2}, "value": 1}]}]}, f"a vertex must be an integer, got {v!r}")
+          for v in ("0_0", " 0", "+0", "\u0660")],
     ])
     def test_malformed_document_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "state", "build", str(path))
+        # convert reads the poly entries, which state build ignores
+        poly = "poly" in json.dumps(doc)
+        argv = ["convert", str(path), "--from", "poly"] if poly else ["state", "build", str(path)]
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and message in err

@@ -20,7 +20,7 @@ from hyperqudit.errors import (
     RingMismatch,
     TooLarge,
 )
-from hyperqudit.galois import EXACT_CAP
+from hyperqudit.galois import EXACT_CAP, GaloisRing
 from tests import oracle
 
 SMALL_RINGS = ["F2", "F3", "F4", "F5", "Z4", "Z8", "Z9", "F8", "F9", "GR(4,2)", "GR(4,3)"]
@@ -98,6 +98,18 @@ class TestConstruction:
         for _ in range(2):
             with pytest.raises(ReducibleModulus):
                 ring_from_descriptor(desc)
+            with pytest.raises(ReducibleModulus):
+                GaloisRing(2, 1, 2, desc["modulus"])
+
+    @pytest.mark.parametrize("name", sorted(RING_CATALOG))
+    def test_direct_construction_is_the_catalog_ring(self, name):
+        ring = named_ring(name)
+        p, r, d, modulus = RING_CATALOG[name]
+        assert GaloisRing(p, r, d, modulus) is ring
+        direct = GaloisRing(p, r, d, list(modulus))
+        assert direct is ring
+        assert direct.one + ring.one == ring.from_int(2)
+        assert direct.elements[-1] * ring.one == ring.elements[-1]
 
     def test_ring_attributes_are_read_only(self):
         ring = named_ring("F3")

@@ -8,6 +8,7 @@ with the per-configuration loops kept in the same module, and the exact
 stabilizer pushforward with the dense matrix loop it replaces.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -301,10 +302,17 @@ def test_lme_orthonormal_matches_oracle(name, data):
 
 
 def test_lme_orthonormal_detects_coinciding_translates(monkeypatch):
-    # with a degenerate pairing every Z-translate equals the state itself
-    hg = CalibratedHypergraph.empty(named_ring("F3"), 2)
-    monkeypatch.setattr(hyperstate, "pairing_matrix", lambda ring, l: np.zeros((9, 9), np.int64))
-    assert not lme_orthonormal(hg)
+    # with a zero trace table every Z-translate equals the state itself
+    ring = named_ring("F3")
+    zero = np.zeros_like(ring.kernel.trace)
+    monkeypatch.setitem(vars(ring), "kernel", dataclasses.replace(ring.kernel, trace=zero))
+    for l in (1, 2, 7):  # l = 7 has 3^14 translate pairs, more than EXACT_CAP
+        assert not lme_orthonormal(CalibratedHypergraph.empty(ring, l))
+    assert lme_orthonormal(CalibratedHypergraph.empty(ring, 0))
+
+
+# Grades whose q^(2l) translate pairs lie past EXACT_CAP; no pairing of that size is built.
+BEYOND_PAIR_CAP = {"F2": (12, 22, 40), "F3": (7, 13)}
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -317,7 +325,7 @@ def test_lme_orthonormal_is_the_ring_criterion(name):
         for x in ring.elements:
             counts[oracle.trace(c * x)] += 1
         criterion &= not any(oracle.cyclotomic_residue(counts, ring.p, ring.r))
-    for l in range(max_grade(ring, 64) + 1):
+    for l in [*range(max_grade(ring, 64) + 1), *BEYOND_PAIR_CAP.get(name, ())]:
         assert lme_orthonormal(CalibratedHypergraph.empty(ring, l)) is (l == 0 or criterion)
 
 
